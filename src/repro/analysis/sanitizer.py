@@ -361,7 +361,7 @@ class SanitizedDeviceLedgers:
 
 def wrap_ledger(ledger: "MemoryLedger | DeviceLedgers"
                 ) -> "SanitizedLedger | SanitizedDeviceLedgers":
-    """Wrap whatever :meth:`ServingEngine._make_ledger` built."""
+    """Wrap whatever ledger a serving pool built for its run."""
     if isinstance(ledger, DeviceLedgers):
         return SanitizedDeviceLedgers(ledger)
     return SanitizedLedger(ledger)

@@ -5,8 +5,10 @@ experiment.  ``build()`` exposes the intermediate stack — the
 :class:`~repro.context.ExecutionContext`, the batching policy and the
 arrival trace — for callers that want to drive
 :class:`~repro.serve.engine.ServingEngine` themselves; ``run()`` is
-``build()`` plus the event loop, returning the typed
-:class:`~repro.serve.metrics.ServeReport`.
+``build_engine()`` plus the event loop, returning the typed
+:class:`~repro.serve.metrics.ServeReport`.  Every spec, colocated or
+with ``serving.pools``, builds one :class:`ServingEngine`: a colocated
+spec is its one-pool case.
 
 The construction here is *definitionally* what the legacy
 :func:`repro.serve.simulate` call does with the equivalent kwargs: the
@@ -24,8 +26,8 @@ from typing import Sequence
 from repro.api.spec import DeploymentSpec
 from repro.context import ExecutionContext
 from repro.serve.batcher import Batcher, make_batcher
-from repro.serve.disagg import DisaggCluster, DisaggServingEngine, PoolSpec
-from repro.serve.engine import ServingEngine
+from repro.serve.disagg import PoolSpec
+from repro.serve.engine import ServingEngine, ServingPool
 from repro.serve.metrics import ServeReport
 from repro.workloads import WORKLOADS, Request, assign_tenants
 
@@ -128,57 +130,34 @@ class Deployment:
             batch_size=pool.batch_size or serving.batch_size,
             max_running=pool.max_running or serving.max_running)
 
-    def _build_pool_engine(self, pool: PoolSpec) -> ServingEngine:
-        """The classic engine carrying one pool's context, batcher and
-        ledger configuration.  Pool engines never own the horizon —
-        the disaggregated event loop holds the shared clock."""
-        model, serving, w = (self.spec.model, self.spec.serving,
-                             self.spec.workload)
-        return ServingEngine(ctx=self.build_pool_context(pool),
-                             batcher=self.build_pool_batcher(pool),
-                             num_layers=model.num_layers,
-                             routing_skew=w.routing_skew,
-                             seed=w.seed,
-                             page_size=serving.page_size,
-                             placement_policy=serving.placement,
-                             tenants=w.tenants,
-                             scheduler=serving.scheduler,
-                             sanitize=serving.sanitize or None)
-
-    def build_engine(self) -> "ServingEngine | DisaggServingEngine":
+    def build_engine(self) -> ServingEngine:
         """The serving engine, ready to ``run()`` a trace.
 
-        Colocated specs (``serving.pools`` unset) build the classic
-        :class:`ServingEngine`.  A *degenerate* pool set — one pool
-        serving both phases — also runs colocated (with the pool's
-        overrides applied), which is what pins the degenerate-config
-        report byte-identical to a pool-free spec.  Genuine multi-pool
-        specs build a :class:`DisaggServingEngine`; each pool's
-        parallel plan comes from its own ``parallel`` field
-        (``hardware.parallel`` applies to colocated runs only).
+        A colocated spec (``serving.pools`` unset) is one ``both`` pool
+        on the deployment's context and batcher.  With
+        ``serving.pools`` every pool gets its own context and batcher
+        from its overrides, and its parallel plan from its own
+        ``parallel`` field (``hardware.parallel`` applies to colocated
+        runs only).  A lone pool that overrides no device setting runs
+        on the deployment's own context, so it serves exactly as the
+        pool-free spec does.
         """
         model, serving, w = (self.spec.model, self.spec.serving,
                              self.spec.workload)
-        pools = serving.pools
-        if pools is not None:
-            cluster = DisaggCluster.build(pools,
-                                          link=serving.transfer_link)
-            if not cluster.is_degenerate:
-                return DisaggServingEngine(
-                    cluster,
-                    [self._build_pool_engine(p) for p in cluster.pools],
-                    router=serving.router,
-                    horizon_s=serving.horizon_s)
-        degenerate = pools[0] if pools is not None else None
-        ctx = (self.build_pool_context(degenerate)
-               if degenerate is not None and (
-                   degenerate.gpu or degenerate.engine
-                   or degenerate.parallel)
-               else self.build_context())
-        batcher = (self.build_pool_batcher(degenerate)
-                   if degenerate is not None else self.build_batcher())
-        return ServingEngine(ctx=ctx,
-                             batcher=batcher,
+        specs = serving.pools
+        if specs is None:
+            pools = [ServingPool(self.build_context(), self.build_batcher())]
+        else:
+            lone = len(specs) == 1 and not (
+                specs[0].gpu or specs[0].engine or specs[0].parallel)
+            pools = [ServingPool(self.build_context() if lone
+                                 else self.build_pool_context(p),
+                                 self.build_pool_batcher(p),
+                                 name=p.name, role=p.role)
+                     for p in specs]
+        return ServingEngine(pools=pools,
+                             router=serving.router,
+                             transfer_link=serving.transfer_link,
                              num_layers=model.num_layers,
                              routing_skew=w.routing_skew,
                              seed=w.seed,

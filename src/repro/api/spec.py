@@ -262,7 +262,7 @@ class ServingSpec(_SpecBase):
             (:class:`~repro.serve.disagg.PoolSpec`); ``None`` keeps
             the colocated engine (and the pre-disagg report and config
             payload shapes).  A single ``role: both`` pool is the
-            documented degenerate form and also runs colocated.
+            colocated case and serves exactly like a pool-free spec.
         router: Pool-assignment policy (``repro list routers``);
             only read when ``pools`` is set.
         transfer_link: Interconnect pricing the prefill -> decode KV

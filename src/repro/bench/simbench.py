@@ -60,7 +60,7 @@ def synthetic_trace(num_requests: int, rate_qps: float = DEFAULT_RATE_QPS,
 
     Poisson arrivals at ``rate_qps`` with mixed prompt (64-512) and
     output (256-512) lengths, round-tripped through
-    :func:`~repro.serve.request.replay_trace` so the benchmark
+    :func:`~repro.workloads.replay_trace` so the benchmark
     exercises the replay front door end to end.
     """
     if num_requests <= 0:

@@ -48,7 +48,7 @@ from repro.serve.batcher import (
     StepPlan,
     make_batcher,
 )
-from repro.serve.engine import ServingEngine, simulate
+from repro.serve.engine import ServingEngine, ServingPool, simulate
 from repro.serve.metrics import (
     PercentileSummary,
     ServeReport,
@@ -86,6 +86,7 @@ __all__ = [
     "StaticBatcher",
     "StepPlan",
     "ServingEngine",
+    "ServingPool",
     "simulate",
     "PercentileSummary",
     "ServeReport",

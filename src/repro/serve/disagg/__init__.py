@@ -3,11 +3,13 @@
 The subsystem splits a deployment into named pools — each with its own
 engine, device, parallel plan, batcher and memory ledger — routed by a
 pluggable :class:`RouterPolicy` and joined by KV-block transfers over
-the cluster's inter-pool link.  See ``DESIGN.md`` ("Disaggregated
-serving") for the full model.
+the cluster's inter-pool link.  The pools are served by the one event
+loop of :class:`repro.serve.engine.ServingEngine`; this package holds
+the pool specs, the routers, and the migration helpers and report
+sections that loop uses when it has more than one pool.  See
+``DESIGN.md`` ("Disaggregated serving") for the full model.
 """
 
-from repro.serve.disagg.engine import DisaggServingEngine, PoolStepComplete
 from repro.serve.disagg.pools import (
     POOL_ROLES,
     DisaggCluster,
@@ -25,11 +27,9 @@ from repro.serve.disagg.routers import (
 
 __all__ = [
     "DisaggCluster",
-    "DisaggServingEngine",
     "PHASES",
     "POOL_ROLES",
     "PoolSpec",
-    "PoolStepComplete",
     "ROUTERS",
     "RouterPolicy",
     "make_router",

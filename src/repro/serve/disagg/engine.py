@@ -1,684 +1,242 @@
-"""Disaggregated prefill/decode serving engine.
+"""KV migration and report sections of multi-pool serving.
 
-One shared event calendar drives N independent pools: each pool has
-its own :class:`~repro.context.ExecutionContext` (engine, device,
-parallel plan), batcher, :class:`~repro.serve.costs.StepPricer` and
-memory ledger, but all pools share the clock, the arrival stream and
-the metrics collector.  The per-pool building blocks are borrowed from
-:class:`~repro.serve.engine.ServingEngine` — one classic engine is
-constructed per pool and used for its ledger/pricer/batcher setup —
-while the event loop here adds what colocated serving cannot express:
+:class:`~repro.serve.engine.ServingEngine` runs one event loop over N
+pools; colocated serving is the one-pool case.  When a deployment has
+more than one pool the loop routes arrivals to prefill-capable pools
+and re-routes decode-pool evictions back to them, and it uses this
+module for the rest of what a single pool never needs:
 
-* **Routing** — a :class:`~repro.serve.disagg.routers.RouterPolicy`
-  assigns each arrival to a prefill-capable pool, and each finished
-  prompt to a decode-capable pool.  Candidates are always presented in
-  stable name order, so equal-load ties resolve by ``(pool_name, rid)``
-  and a run is byte-reproducible under any executor layout.
-* **KV migration** — when a prompt finishes prefilling on a pool that
-  does not serve decode, its KV state (all layers of the context at
-  prefill completion) crosses the inter-pool link: the destination
-  ledger is charged at transfer start, a
+* **KV migration** (:class:`KVMigrator`) — when a prompt finishes
+  prefilling on a pool that does not serve decode, its KV state (all
+  layers of the context at prefill completion) crosses the inter-pool
+  link: the destination ledger is charged at transfer start, a
   :class:`~repro.serve.events.KVTransfer` fires after the link's
   alpha-beta cost, and its handler releases the source ledger and
   starts the request decoding on the destination.  During the window
-  the request is resident on *both* ledgers; the sim-sanitizer's
-  conservation invariant checks that the bytes released at the source
-  equal the bytes charged at the destination and that residency is
-  single-pool once the transfer completes.
-* **Cross-pool preemption** — a decode-pool eviction cannot recompute
-  locally (the pool never prefills); the victim is re-routed to a
-  prefill-capable pool for recompute, keeping vLLM-style recompute
-  semantics end to end.
-
-A degenerate cluster (one pool serving both phases) never migrates;
-the deployment layer runs it through the classic colocated engine so
-its report stays byte-identical to a pool-free config.
+  the request is resident on *both* ledgers; under the sim-sanitizer a
+  :class:`~repro.analysis.sanitizer.KVTransferAuditor` checks that the
+  bytes released at the source equal the bytes charged at the
+  destination and that residency is single-pool once the transfer
+  completes.
+* **Report sections** — the per-pool ``pools`` section
+  (:func:`pools_report`), the ``transfer`` section
+  (:meth:`KVMigrator.report`) and the union-topology ``gpu`` label
+  (:func:`cluster_gpu_name`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.analysis.sanitizer import (
-    KVTransferAuditor,
-    SanitizedEventManager,
-    wrap_ledger,
-)
-from repro.errors import CapacityError, ConfigError, InternalError
+from repro.analysis.sanitizer import KVTransferAuditor
 from repro.hw.interconnect import ClusterSpec, LinkSpec
 from repro.moe.memory_model import kv_cache_bytes
-from repro.registry.selector import AutoEngine
-from repro.serve.batcher import ActiveRequest, StepPlan
-from repro.serve.disagg.pools import DisaggCluster, PoolSpec
-from repro.serve.disagg.routers import make_router
-from repro.serve.engine import ServingEngine
-from repro.serve.events import (
-    Arrival,
-    EventKind,
-    EventManager,
-    HorizonExpired,
-    KVTransfer,
-    Preempt,
-    RateRefill,
-    StepComplete,
-)
-from repro.serve.metrics import (
-    MetricsCollector,
-    PercentileSummary,
-    RequestRecord,
-    ServeReport,
-    StepSample,
-    summarise,
-)
-from repro.serve.scheduling import AdmissionGate
-from repro.workloads.traces import Request, validate_trace
+from repro.serve.batcher import ActiveRequest
+from repro.serve.events import EventManager, KVTransfer
+from repro.serve.metrics import PercentileSummary
+# Unused here: perfbench's tracer patches ``summarise`` in this module.
+from repro.serve.metrics import summarise  # noqa: F401
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.moe.config import MoEModelConfig
+    from repro.serve.disagg.routers import RouterPolicy
+    from repro.serve.engine import _Pool
+    from repro.workloads.tenants import TenantSpec
+    from repro.workloads.traces import Request
 
 
-@dataclass(frozen=True)
-class PoolStepComplete(StepComplete):
-    """A :class:`StepComplete` attributed to one named pool.
+def arrival_order(ar: ActiveRequest) -> tuple[float, int]:
+    """The stable ``(arrival_s, rid)`` order of per-step work."""
+    return (ar.request.arrival_s, ar.request.rid)
 
-    Same event kind (and therefore the same heap tie-break position)
-    as the colocated step completion; the ``pool`` field lets the
-    shared calendar dispatch the plan back to the pool that planned
-    it.  Two pools completing at the same instant order by push
-    sequence, which is deterministic because planning iterates pools
-    in stable name order.
+
+class KVMigrator:
+    """Moves finished prompts from prefill-only pools to decode pools.
+
+    One instance per run.  ``decode_pools`` are the decode-capable
+    pools in stable name order (the router's tie-break domain).
     """
 
-    pool: str = ""
-
-
-class _PoolState:
-    """Per-run mutable state of one pool (queues, ledger, stats)."""
-
-    def __init__(self, spec: PoolSpec, engine: ServingEngine,
-                 ledger, raw_ledger) -> None:
-        self.spec = spec
-        self.engine = engine
-        self.name = spec.name
-        self.ledger = ledger
-        self.raw_ledger = raw_ledger
-        self.waiting: deque[Request] = deque()
-        self.running: list[ActiveRequest] = []
-        self.in_flight: list[StepPlan] = []
-        #: Requests mid-transfer *out* of this pool: their KV bytes are
-        #: still charged here until the transfer completes.
-        self.outbound: dict[int, ActiveRequest] = {}
-        #: Decode tokens en route to this pool by migration (load
-        #: signal for the routers; settled when the transfer lands).
-        self.inbound_tokens = 0
-        self.steps = 0
-        self.busy_s = 0.0
-        self.comm_s = 0.0
-        self.prefills = 0
-        self.finished = 0
-        self.ttft_values: list[float] = []
-        self.tpot_values: list[float] = []
-        self.peak_util = 0.0
-
-    @property
-    def outstanding_tokens(self) -> int:
-        """Router load signal: queued + still-to-generate + inbound."""
-        tokens = sum(r.total_tokens for r in self.waiting)
-        tokens += sum(max(ar.request.total_tokens - ar.context_tokens, 0)
-                      for ar in self.running)
-        return tokens + self.inbound_tokens
-
-
-class DisaggServingEngine:
-    """Event-calendar server over disaggregated prefill/decode pools.
-
-    Construction takes a validated :class:`DisaggCluster` plus one
-    classic :class:`ServingEngine` per pool (built by the deployment
-    layer with the pool's context/batcher overrides); those engines
-    are never ``run()`` — they supply the per-pool ledger factory,
-    pricer and batcher, so every cost and admission decision is priced
-    by exactly the same stack as colocated serving.
-    """
-
-    def __init__(self, cluster: DisaggCluster,
-                 pool_engines: Sequence[ServingEngine], *,
-                 router: str = "round_robin",
-                 horizon_s: float | None = None,
-                 report_engine: str | None = None,
-                 report_gpu: str | None = None,
-                 report_batcher: str | None = None) -> None:
-        if len(cluster.pools) != len(pool_engines):
-            raise InternalError(
-                f"{len(cluster.pools)} pools but "
-                f"{len(pool_engines)} pool engines")
-        if cluster.is_degenerate:
-            raise ConfigError(
-                "degenerate single-pool cluster: run the colocated "
-                "ServingEngine instead (the deployment layer does "
-                "this automatically)")
-        self.cluster = cluster
-        self.router = router
-        make_router(router)            # fail fast on unknown names
-        self.horizon_s = horizon_s
-        if horizon_s is not None and horizon_s <= 0:
-            raise ConfigError("horizon_s must be positive")
-        self._engines = list(pool_engines)
-        first = self._engines[0]
-        for spec, eng in zip(cluster.pools, self._engines):
-            if eng.ctx.config.name != first.ctx.config.name:
-                raise ConfigError(
-                    f"pool {spec.name!r} serves model "
-                    f"{eng.ctx.config.name!r} but pool "
-                    f"{cluster.pools[0].name!r} serves "
-                    f"{first.ctx.config.name!r}; all pools must share "
-                    f"one model")
-            if eng.page_size != first.page_size:
-                raise ConfigError(
-                    f"pool {spec.name!r} page_size {eng.page_size!r} "
-                    f"differs from {first.page_size!r}; a shared KV "
-                    f"page layout is what makes transfers exact")
-            if eng._layers != first._layers:
-                raise ConfigError(
-                    f"pool {spec.name!r} num_layers differs; all "
-                    f"pools must serve the same stack depth")
-            if tuple(eng.tenants) != tuple(first.tenants):
-                raise InternalError(
-                    f"pool {spec.name!r} was built with different "
-                    f"tenants")
-            if eng.scheduler != first.scheduler:
-                raise InternalError(
-                    f"pool {spec.name!r} was built with a different "
-                    f"scheduler")
-            if eng._sanitize != first._sanitize:
-                raise InternalError(
-                    f"pool {spec.name!r} was built with a different "
-                    f"sanitize setting")
-        self._sanitize = first._sanitize
-        self._link: LinkSpec = cluster.link
-        self._report_engine = report_engine or first.ctx.engine.name
-        self._report_batcher = report_batcher or first.batcher.name
-        if report_gpu is None:
-            gpus: list = []
-            for spec, eng in zip(cluster.pools, self._engines):
-                gpus.extend([eng.ctx.spec] * spec.num_devices)
-            report_gpu = ClusterSpec(gpus=tuple(gpus),
-                                     link=self._link).describe()
-        self._report_gpu = report_gpu
-
-    # ------------------------------------------------------------------
-    # Event loop
-    # ------------------------------------------------------------------
-    def run(self, trace: Sequence[Request],
-            max_steps: int = 1_000_000) -> ServeReport:
-        """Serve ``trace`` across the pools and summarise the run."""
-        validate_trace(trace)
-        first = self._engines[0]
-        config = first.ctx.config
-        layers = first._layers
-        records = {req.rid: RequestRecord(req) for req in trace}
-        collector = MetricsCollector()
-        manager = (SanitizedEventManager() if self._sanitize
-                   else EventManager())
-        queue = manager.queue
-        policy = first._policy
-        table = first._tenant_table
-        router = make_router(self.router)
-        auditor = KVTransferAuditor() if self._sanitize else None
-
-        states: list[_PoolState] = []
-        for spec, eng in zip(self.cluster.pools, self._engines):
-            eng._step_comm_s = 0.0
-            raw = eng._make_ledger()
-            ledger = wrap_ledger(raw) if self._sanitize else raw
-            states.append(_PoolState(spec, eng, ledger, raw))
-        by_name = {st.name: st for st in states}
-        # Stable name order everywhere scheduling iterates pools: the
-        # deterministic half of the ``(pool_name, rid)`` tie-break.
-        sched = sorted(states, key=lambda s: s.name)
-        prefill_states = [st for st in sched if st.spec.serves_prefill]
-        decode_states = [st for st in sched if st.spec.serves_decode]
-
-        gate = AdmissionGate(table) if table else None
-        if gate is not None and not gate:
-            gate = None
-        for st in states:
-            st.engine.batcher.admission_gate = gate
-
-        for req in sorted(trace, key=lambda r: (r.arrival_s, r.rid)):
-            queue.push(Arrival(when=req.arrival_s, request=req))
-        if self.horizon_s is not None:
-            queue.push(HorizonExpired(when=self.horizon_s))
-
-        steps = 0
+    def __init__(self, manager: EventManager, router: "RouterPolicy",
+                 decode_pools: Sequence["_Pool"],
+                 tenants: Mapping[str, "TenantSpec"],
+                 config: "MoEModelConfig", layers: int, link: LinkSpec,
+                 sanitize: bool) -> None:
+        self._manager = manager
+        self._router = router
+        self._decode_pools = decode_pools
+        self._tenants = tenants
+        self._config = config
+        self._layers = layers
+        self._link = link
+        self._auditor = KVTransferAuditor() if sanitize else None
         #: rid -> (active request, source pool, destination pool) of
         #: every KV transfer currently on the wire.
-        migrating: dict[int, tuple[ActiveRequest, _PoolState,
-                                   _PoolState]] = {}
+        self._migrating: dict[int, tuple[ActiveRequest, "_Pool",
+                                         "_Pool"]] = {}
         #: Migrations blocked on destination admission, retried in
         #: stable (arrival_s, rid) order whenever capacity frees.
-        pending: list[tuple[ActiveRequest, _PoolState]] = []
-        transfer_seconds: dict[int, float] = {}
-        transfer_stats = {"transfers": 0, "bytes": 0.0, "seconds": 0.0}
-        auto_counts: dict[str, dict[str, int]] = {}
+        self.pending: list[tuple[ActiveRequest, "_Pool"]] = []
+        self._per_request_s: dict[int, float] = {}
+        self._transfers = 0
+        self._bytes_total = 0.0
+        self._seconds_total = 0.0
 
-        def victim_key(ar: ActiveRequest):
-            return policy.victim_key(ar, manager.clock,
-                                     records.get(ar.request.rid),
-                                     table.get(ar.request.tenant))
+    @property
+    def busy(self) -> bool:
+        """Is a transfer on the wire?"""
+        return bool(self._migrating)
 
-        def evict(st: _PoolState, victim: ActiveRequest,
-                  evicted: set[int]) -> None:
-            """Preempt ``victim`` from ``st`` for recompute.
+    def send(self, src: "_Pool") -> None:
+        """Start (or queue) the migration of every prompt that just
+        finished prefilling on ``src``, a pool that does not decode."""
+        movers = sorted((ar for ar in src.running
+                         if ar.prefilled and not ar.finished),
+                        key=arrival_order)
+        for ar in movers:
+            src.running.remove(ar)
+            if not self._start(ar, src):
+                self.pending.append((ar, src))
 
-            A prefill-capable pool requeues locally (the colocated
-            semantics); a decode-only pool cannot recompute, so the
-            victim re-routes to a prefill pool's queue head.
-            """
-            st.ledger.release(victim.request.rid)
-            st.running.remove(victim)
-            req = victim.request
-            if st.spec.serves_prefill:
-                st.waiting.appendleft(req)
-            else:
-                home = router.select(prefill_states, req,
-                                     table.get(req.tenant), "prefill")
-                home.waiting.appendleft(req)
-            evicted.add(req.rid)
-            manager.emit(Preempt(when=manager.clock,
-                                 victim_rid=req.rid,
-                                 tenant=req.tenant))
+    def _start(self, ar: ActiveRequest, src: "_Pool") -> bool:
+        """Start ``ar``'s KV transfer out of ``src`` if some decode
+        pool can admit it now; charge the destination and schedule
+        the :class:`KVTransfer` completion."""
+        req = ar.request
+        dst = self._router.select(self._decode_pools, req,
+                                  self._tenants.get(req.tenant), "decode")
+        if not dst.ledger.can_admit_request(ar.context_tokens,
+                                            req.total_tokens):
+            return False
+        auditor = self._auditor
+        if auditor is not None:
+            live0_bytes = dst.ledger.live_bytes
+        dst.ledger.admit(req.rid, ar.context_tokens, req.total_tokens)
+        if auditor is not None:
+            # Full-model KV bytes: the cluster live-bytes sum is ep x
+            # the model's KV (tp shards cancel in the sum).
+            auditor.transfer_started(
+                req.rid, src.name, dst.name,
+                charged_bytes=((dst.ledger.live_bytes - live0_bytes)
+                               / dst.ctx.parallel.ep))
+        nbytes = kv_cache_bytes(self._config, ar.context_tokens) \
+            * self._layers
+        transfer_s = self._link.transfer_seconds(nbytes)
+        manager = self._manager
+        manager.queue.push(KVTransfer(
+            when=manager.clock + transfer_s, transfer_rid=req.rid,
+            src_pool=src.name, dst_pool=dst.name, nbytes=nbytes,
+            transfer_s=transfer_s))
+        self._migrating[req.rid] = (ar, src, dst)
+        src.outbound[req.rid] = ar
+        dst.inbound_tokens += max(req.total_tokens - ar.context_tokens, 0)
+        return True
 
-        def grow(st: _PoolState, ar: ActiveRequest,
-                 evicted: set[int]) -> bool:
-            """One token of KV growth on ``st``'s ledger, preempting
-            until it fits (see :meth:`ServingEngine._grow`)."""
-            while True:
-                try:
-                    st.ledger.grow(ar.request.rid)
-                    return True
-                except CapacityError:
-                    victim = max(st.running, key=victim_key)
-                    if victim is ar and len(st.running) == 1:
-                        if st.outbound:
-                            # Bytes held by outbound transfers will
-                            # free when they land; recompute later.
-                            evict(st, ar, evicted)
-                            return False
-                        total_tokens = ar.request.total_tokens
-                        raise CapacityError(
-                            f"request {ar.request.rid} ({total_tokens} "
-                            f"tokens) exceeds pool {st.name!r} memory "
-                            f"even alone on {st.engine.ctx.spec.name} "
-                            f"with {st.engine.ctx.engine.name}",
-                            required_bytes=int(
-                                st.ledger.peak_bytes(total_tokens)),
-                            available_bytes=int(
-                                st.ledger.budget_bytes
-                                - st.ledger.static_bytes))
-                    evict(st, victim, evicted)
-                    if victim is ar:
-                        return False
+    def retry(self) -> None:
+        """Retry the blocked migrations now that capacity may be free."""
+        if not self.pending:
+            return
+        blocked = sorted(self.pending,
+                         key=lambda item: arrival_order(item[0]))
+        self.pending.clear()
+        for ar, src in blocked:
+            if not self._start(ar, src):
+                self.pending.append((ar, src))
 
-        def try_migrate(ar: ActiveRequest, src: _PoolState) -> bool:
-            """Start ``ar``'s KV transfer out of ``src`` if some decode
-            pool can admit it now; charge the destination and schedule
-            the :class:`KVTransfer` completion."""
-            req = ar.request
-            dst = router.select(decode_states, req,
-                                table.get(req.tenant), "decode")
-            if not dst.ledger.can_admit_request(ar.context_tokens,
-                                                req.total_tokens):
-                return False
-            if auditor is not None:
-                live0_bytes = dst.ledger.live_bytes
-            dst.ledger.admit(req.rid, ar.context_tokens,
-                             req.total_tokens)
-            if auditor is not None:
-                # Full-model KV bytes: the cluster live-bytes sum is
-                # ep x the model's KV (tp shards cancel in the sum).
-                auditor.transfer_started(
-                    req.rid, src.name, dst.name,
-                    charged_bytes=((dst.ledger.live_bytes - live0_bytes)
-                                   / dst.spec.plan.ep))
-            nbytes = kv_cache_bytes(config, ar.context_tokens) * layers
-            transfer_s = self._link.transfer_seconds(nbytes)
-            queue.push(KVTransfer(when=manager.clock + transfer_s,
-                                  transfer_rid=req.rid,
-                                  src_pool=src.name, dst_pool=dst.name,
-                                  nbytes=nbytes, transfer_s=transfer_s))
-            migrating[req.rid] = (ar, src, dst)
-            src.outbound[req.rid] = ar
-            dst.inbound_tokens += max(req.total_tokens
-                                      - ar.context_tokens, 0)
-            return True
+    def on_transfer(self, event: KVTransfer) -> None:
+        """Event handler: the KV blocks have landed on the decode pool."""
+        rid = event.transfer_rid
+        ar, src, dst = self._migrating.pop(rid)
+        del src.outbound[rid]
+        auditor = self._auditor
+        if auditor is not None:
+            live0_bytes = src.ledger.live_bytes
+        src.ledger.release(rid)
+        if auditor is not None:
+            auditor.transfer_completed(
+                rid,
+                released_bytes=((live0_bytes - src.ledger.live_bytes)
+                                / src.ctx.parallel.ep),
+                src_ledger=src.ledger, dst_ledger=dst.ledger)
+        dst.running.append(ar)
+        dst.inbound_tokens -= max(ar.request.total_tokens
+                                  - ar.context_tokens, 0)
+        self._per_request_s[rid] = (self._per_request_s.get(rid, 0.0)
+                                   + event.transfer_s)
+        self._transfers += 1
+        self._bytes_total += event.nbytes
+        self._seconds_total += event.transfer_s
+        # The source just freed KV bytes: blocked migrations out of
+        # other pools may now fit elsewhere, and blocked *local*
+        # admissions retry at the next planning pass.
+        self.retry()
 
-        def retry_migrations() -> None:
-            if not pending:
-                return
-            blocked = sorted(pending,
-                             key=lambda item: (item[0].request.arrival_s,
-                                               item[0].request.rid))
-            pending.clear()
-            for ar, src in blocked:
-                if not try_migrate(ar, src):
-                    pending.append((ar, src))
+    def stuck_request(self) -> "Request | None":
+        """The head of the blocked migrations, if any."""
+        return self.pending[0][0].request if self.pending else None
 
-        # -- handlers ---------------------------------------------------
-        def on_arrival(event: Arrival) -> None:
-            req = event.request
-            if gate is not None and not gate.admissible(req):
-                collector.reject(req.tenant)
-                return
-            home = router.select(prefill_states, req,
-                                 table.get(req.tenant), "prefill")
-            home.waiting.append(req)
+    def assert_drained(self) -> None:
+        """Sanitizer: no transfer may be left on the wire."""
+        if self._auditor is not None:
+            self._auditor.assert_drained()
 
-        def on_preempt(event: Preempt) -> None:
-            collector.preempt(event.tenant)
-
-        def on_horizon(event: HorizonExpired) -> None:
-            manager.stop()
-
-        def on_rate_refill(event: RateRefill) -> None:
-            pass
-
-        def on_kv_transfer(event: KVTransfer) -> None:
-            rid = event.transfer_rid
-            ar, src, dst = migrating.pop(rid)
-            del src.outbound[rid]
-            if auditor is not None:
-                live0_bytes = src.ledger.live_bytes
-            src.ledger.release(rid)
-            if auditor is not None:
-                auditor.transfer_completed(
-                    rid,
-                    released_bytes=((live0_bytes - src.ledger.live_bytes)
-                                    / src.spec.plan.ep),
-                    src_ledger=src.ledger, dst_ledger=dst.ledger)
-            dst.running.append(ar)
-            dst.inbound_tokens -= max(ar.request.total_tokens
-                                      - ar.context_tokens, 0)
-            transfer_seconds[rid] = (transfer_seconds.get(rid, 0.0)
-                                     + event.transfer_s)
-            transfer_stats["transfers"] += 1
-            transfer_stats["bytes"] += event.nbytes
-            transfer_stats["seconds"] += event.transfer_s
-            # The source just freed KV bytes: blocked migrations out of
-            # other pools may now fit elsewhere, and blocked *local*
-            # admissions retry at the next planning pass.
-            retry_migrations()
-
-        def on_step_complete(event: StepComplete) -> None:
-            if not isinstance(event, PoolStepComplete):
-                raise InternalError(
-                    "disagg calendar received an unpooled StepComplete")
-            st = by_name[event.pool]
-            plan = st.in_flight.pop()
-            clock = manager.clock
-            st.busy_s += event.step_s
-            st.comm_s += event.comm_s
-            evicted: set[int] = set()
-            st.running.extend(plan.prefill)
-            for ar in sorted(plan.decode,
-                             key=lambda a: (a.request.arrival_s,
-                                            a.request.rid)):
-                if ar.request.rid in evicted:
-                    continue
-                ar.generated += 1
-                grow(st, ar, evicted)
-            for ar in plan.prefill:            # prompt + first token
-                record = records[ar.request.rid]
-                if record.admitted_s is None:
-                    record.admitted_s = ar.admitted_s
-                if ar.request.rid in evicted:
-                    continue
-                st.prefills += 1
-                if record.first_token_s is None:
-                    record.first_token_s = clock
-                    st.ttft_values.append(clock - ar.request.arrival_s)
-                ar.prefilled = True
-                ar.prefilled_tokens = ar.request.prompt_tokens
-                ar.generated = 1
-                grow(st, ar, evicted)
-            for chunk in plan.chunks:          # chunked prefill slices
-                ar = chunk.ar
-                record = records[ar.request.rid]
-                if record.admitted_s is None:
-                    record.admitted_s = ar.admitted_s
-                if ar.request.rid in evicted:
-                    continue
-                ar.prefilled_tokens += chunk.tokens
-                if ar.prefilled_tokens >= ar.request.prompt_tokens:
-                    ar.prefilled = True         # last chunk: token one
-                    ar.generated = 1
-                    st.prefills += 1
-                    if record.first_token_s is None:
-                        record.first_token_s = clock
-                        st.ttft_values.append(
-                            clock - ar.request.arrival_s)
-                    grow(st, ar, evicted)
-            if not st.spec.serves_decode:
-                # Prompts that finished prefilling here must decode
-                # elsewhere: start (or queue) their KV migration.
-                movers = sorted(
-                    (ar for ar in st.running
-                     if ar.prefilled and not ar.finished),
-                    key=lambda a: (a.request.arrival_s, a.request.rid))
-                for ar in movers:
-                    st.running.remove(ar)
-                    if not try_migrate(ar, st):
-                        pending.append((ar, st))
-            manager.dispatch_due()
-            util = st.ledger.pool_utilisation
-            if util > st.peak_util:
-                st.peak_util = util
-            collector.observe(StepSample(
-                clock_s=clock,
-                queue_depth=len(st.waiting),
-                running=st.ledger.active_requests,
-                step_tokens=plan.total_tokens,
-                live_bytes=st.ledger.live_bytes,
-                reserved_bytes=st.ledger.reserved_bytes,
-                pool_util=util,
-                comm_s=event.comm_s,
-                step_s=event.step_s,
-            ))
-            for ar in [ar for ar in st.running if ar.finished]:
-                st.running.remove(ar)
-                st.ledger.release(ar.request.rid)
-                record = records[ar.request.rid]
-                record.finished_s = clock
-                collector.finish(record)
-                st.finished += 1
-                st.tpot_values.append(record.tpot_s)
-            retry_migrations()
-
-        manager.on(EventKind.ARRIVAL, on_arrival)
-        manager.on(EventKind.PREEMPT, on_preempt)
-        manager.on(EventKind.HORIZON_EXPIRED, on_horizon)
-        manager.on(EventKind.STEP_COMPLETE, on_step_complete)
-        manager.on(EventKind.RATE_REFILL, on_rate_refill)
-        manager.on(EventKind.KV_TRANSFER, on_kv_transfer)
-
-        while True:
-            manager.dispatch_due()
-            busy = (any(st.in_flight for st in sched)
-                    or bool(migrating))
-            if manager.stopped:
-                if busy:
-                    # In-flight steps and transfers complete fully; the
-                    # stop flag only gates planning, as colocated.
-                    manager.advance()
-                    continue
-                break
-            work = (any(st.waiting or st.running for st in sched)
-                    or queue.pending_arrivals or pending)
-            if not busy and not work:
-                break                   # trace fully served
-            planned = False
-            for st in sched:
-                if st.in_flight or not (st.waiting or st.running):
-                    continue
-                if policy.reorders_queue and len(st.waiting) > 1:
-                    ordered = sorted(
-                        st.waiting,
-                        key=lambda r: policy.queue_key(
-                            r, table.get(r.tenant)))
-                    st.waiting.clear()
-                    st.waiting.extend(ordered)
-                plan = st.engine.batcher.plan_step(
-                    manager.clock, st.waiting, st.running, st.ledger,
-                    bool(queue.pending_arrivals))
-                if plan.empty:
-                    continue
-                steps += 1
-                if steps > max_steps:
-                    raise ConfigError(
-                        f"exceeded {max_steps} steps; trace too large "
-                        f"or pools starved")
-                step_s, comm_s, winner = st.engine._pricer.price(plan)
-                if winner is not None:
-                    phase = ("prefill" if (plan.prefill or plan.chunks)
-                             else "decode")
-                    counts = auto_counts.setdefault(phase, {})
-                    counts[winner] = counts.get(winner, 0) + 1
-                st.in_flight.append(plan)
-                st.steps += 1
-                queue.push(PoolStepComplete(
-                    when=manager.clock + step_s, step_s=step_s,
-                    comm_s=comm_s, pool=st.name))
-                planned = True
-            if planned:
-                continue
-            if busy:
-                if not manager.advance():
-                    raise InternalError(
-                        "disagg calendar stalled with work in flight")
-                continue
-            if queue.pending_arrivals:
-                manager.advance()       # idle until the next arrival
-                continue
-            if gate is not None:
-                woke = False
-                for st in sched:
-                    if not st.waiting:
-                        continue
-                    wake_s = gate.next_admit_s(manager.clock,
-                                               st.waiting[0])
-                    if wake_s is not None:
-                        queue.push(RateRefill(when=wake_s))
-                        woke = True
-                if woke:
-                    manager.advance()
-                    continue
-            head = self._stuck_request(sched, pending)
-            raise CapacityError(
-                f"request {head.rid} ({head.total_tokens} tokens) can "
-                f"never be served by pools "
-                f"{', '.join(st.name for st in sched)}")
-
-        if self._sanitize and not manager.stopped:
-            for st in states:
-                st.ledger.assert_drained()
-            if auditor is not None:
-                auditor.assert_drained()
-        return summarise(
-            collector, engine=self._report_engine, model=config.name,
-            gpu=self._report_gpu, batcher=self._report_batcher,
-            num_requests=len(trace),
-            auto=self._auto_report(auto_counts),
-            tenants=first.tenants or None,
-            all_records=list(records.values()),
-            pools=self._pools_report(states),
-            transfer=self._transfer_report(transfer_stats,
-                                           transfer_seconds))
-
-    # ------------------------------------------------------------------
-    # Report sections
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _stuck_request(sched: Sequence[_PoolState],
-                       pending: Sequence[tuple[ActiveRequest,
-                                               _PoolState]]) -> Request:
-        """The request to blame for a starved cluster: an unfinished
-        partial prefill holds blocks; else a blocked migration; else
-        the first waiting head."""
-        for st in sched:
-            for ar in st.running:
-                if not ar.prefilled:
-                    return ar.request
-        if pending:
-            return pending[0][0].request
-        for st in sched:
-            if st.waiting:
-                return st.waiting[0]
-        for st in sched:
-            if st.running:
-                return st.running[0].request
-        raise InternalError("starved cluster with no stuck request")
-
-    def _auto_report(self, auto_counts: dict[str, dict[str, int]]
-                     ) -> dict[str, object] | None:
-        """Aggregated auto-dispatch section over every auto pool."""
-        if not any(isinstance(eng.ctx.engine, AutoEngine)
-                   for eng in self._engines):
-            return None
-        selected = {
-            phase: max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
-            for phase, counts in auto_counts.items()}
-        return {"selected": selected,
-                "steps": {phase: dict(counts)
-                          for phase, counts in auto_counts.items()}}
-
-    def _pools_report(self, states: Sequence[_PoolState]
-                      ) -> dict[str, object]:
-        """One block per pool, in declaration order."""
-        section: dict[str, object] = {}
-        for st in states:
-            block: dict[str, object] = {
-                "role": st.spec.role,
-                "gpu": st.engine.ctx.spec.name,
-                "engine": st.engine.ctx.engine.name,
-                "batcher": st.engine.batcher.name,
-                "devices": st.spec.num_devices,
-                "steps": st.steps,
-                "busy_s": st.busy_s,
-                "comm_s": st.comm_s,
-                "requests_prefilled": st.prefills,
-                "requests_finished": st.finished,
-                "peak_pool_utilisation": st.peak_util,
-            }
-            if st.spec.serves_prefill:
-                block["ttft_s"] = (
-                    PercentileSummary.from_values(st.ttft_values)
-                    if st.ttft_values
-                    else PercentileSummary.zero()).to_dict()
-            if st.spec.serves_decode:
-                block["tpot_s"] = (
-                    PercentileSummary.from_values(st.tpot_values)
-                    if st.tpot_values
-                    else PercentileSummary.zero()).to_dict()
-            section[st.name] = block
-        return section
-
-    def _transfer_report(self, stats: dict[str, float],
-                         per_request: dict[int, float]
-                         ) -> dict[str, object]:
+    def report(self) -> dict[str, object]:
         """KV-transfer section: link, totals and per-request seconds.
 
         ``per_request_s`` maps each migrated request id to its total
         transfer seconds (summed over recompute re-migrations), in
         rid order.
         """
-        values = [per_request[rid] for rid in sorted(per_request)]
+        per_request_s = self._per_request_s
+        values = [per_request_s[rid] for rid in sorted(per_request_s)]
         return {
             "link": self._link.name,
-            "transfers": int(stats["transfers"]),
-            "requests": len(per_request),
-            "bytes_total": stats["bytes"],
-            "seconds_total": stats["seconds"],
+            "transfers": self._transfers,
+            "requests": len(per_request_s),
+            "bytes_total": self._bytes_total,
+            "seconds_total": self._seconds_total,
             "seconds": (PercentileSummary.from_values(values)
                         if values
                         else PercentileSummary.zero()).to_dict(),
-            "per_request_s": {str(rid): per_request[rid]
-                              for rid in sorted(per_request)},
+            "per_request_s": {str(rid): per_request_s[rid]
+                              for rid in sorted(per_request_s)},
         }
+
+
+def pools_report(pools: Sequence["_Pool"]) -> dict[str, object]:
+    """One block per pool, in declaration order."""
+    section: dict[str, object] = {}
+    for st in pools:
+        block: dict[str, object] = {
+            "role": st.role,
+            "gpu": st.ctx.spec.name,
+            "engine": st.ctx.engine.name,
+            "batcher": st.batcher.name,
+            "devices": st.ctx.parallel.num_devices,
+            "steps": st.steps,
+            "busy_s": st.busy_s,
+            "comm_s": st.comm_s,
+            "requests_prefilled": st.prefills,
+            "requests_finished": st.finished,
+            "peak_pool_utilisation": st.peak_util,
+        }
+        if st.serves_prefill:
+            block["ttft_s"] = (
+                PercentileSummary.from_values(st.ttft_values)
+                if st.ttft_values
+                else PercentileSummary.zero()).to_dict()
+        if st.serves_decode:
+            block["tpot_s"] = (
+                PercentileSummary.from_values(st.tpot_values)
+                if st.tpot_values
+                else PercentileSummary.zero()).to_dict()
+        section[st.name] = block
+    return section
+
+
+def cluster_gpu_name(pools: Sequence["_Pool"], link: LinkSpec) -> str:
+    """The report's ``gpu`` label: every pool's devices over ``link``."""
+    gpus = []
+    for st in pools:
+        gpus.extend([st.ctx.spec] * st.ctx.parallel.num_devices)
+    return ClusterSpec(gpus=tuple(gpus), link=link).describe()

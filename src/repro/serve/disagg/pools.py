@@ -33,9 +33,8 @@ from repro.moe.layers import ENGINES
 from repro.serve.batcher import BATCHER_NAMES
 
 #: Phase roles a pool can serve.  ``both`` is the colocated role: a
-#: request that prefills on a ``both`` pool decodes there too (no
-#: KV transfer), which is what makes the single-pool degenerate config
-#: reduce exactly to the classic engine.
+#: request that prefills on a ``both`` pool decodes there too (no KV
+#: transfer), so a single ``both`` pool is exactly colocated serving.
 POOL_ROLES = ("prefill", "decode", "both")
 
 
@@ -201,16 +200,6 @@ class DisaggCluster:
         """Construct from pool specs and a link (name or spec)."""
         link_spec = get_link(link) if isinstance(link, str) else link
         return cls(pools=tuple(pools), link=link_spec)
-
-    @property
-    def is_degenerate(self) -> bool:
-        """A single pool serving both phases — the colocated limit.
-
-        Degenerate clusters never schedule a KV transfer; the serving
-        layer runs them through the classic engine so their reports
-        stay byte-identical to a pool-free deployment.
-        """
-        return len(self.pools) == 1 and self.pools[0].role == "both"
 
     @property
     def prefill_pools(self) -> tuple[PoolSpec, ...]:

@@ -128,12 +128,17 @@ class StepComplete(Event):
     """An in-flight engine step finishes at ``when``.
 
     ``step_s`` is the step's modelled duration, ``comm_s`` its
-    communication share (multi-device runs).  The plan itself is held
-    by the engine (it is mutable step state, not event payload).
+    communication share (multi-device runs), ``pool`` the index of the
+    pool that ran the step (always 0 on a colocated server).  The plan
+    itself is held by the engine (it is mutable step state, not event
+    payload).  Two pools completing at the same instant order by push
+    sequence, which is deterministic because the engine plans pools in
+    stable name order.
     """
 
     step_s: float = 0.0
     comm_s: float = 0.0
+    pool: int = 0
 
     KIND = EventKind.STEP_COMPLETE
 
@@ -171,8 +176,9 @@ class RateRefill(Event):
 class KVTransfer(Event):
     """A migrating request's KV blocks arrive on the decode pool.
 
-    Scheduled by the disaggregated engine at transfer *start* for
-    ``start + transfer_s``, where ``transfer_s`` is the inter-pool
+    Scheduled by the serving engine's KV migration
+    (:class:`~repro.serve.disagg.engine.KVMigrator`, multi-pool runs)
+    at transfer *start* for ``start + transfer_s``, where ``transfer_s`` is the inter-pool
     link's :meth:`~repro.hw.interconnect.LinkSpec.transfer_seconds`
     for ``nbytes`` of KV state (all layers of the request's context at
     prefill completion).  The destination ledger was charged at

@@ -1,5 +1,5 @@
 """GEMM benchmark workloads: the synthetic 238-case suite and Table-2
-shapes (canonical home; ``repro.bench.workloads`` re-exports these).
+shapes.
 
 The paper's synthetic kernel benchmark covers "238 distinct cases, with
 dimensions m, k, n ranging from 256 to 16384" (§6.1.1).  We enumerate the

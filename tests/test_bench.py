@@ -14,8 +14,8 @@ from repro.bench import (
     synthetic_cases,
 )
 from repro.bench.report import fmt_speedup, render_series, render_table
-from repro.bench.workloads import DIM_GRID, scaling_cases
 from repro.errors import ConfigError
+from repro.workloads.gemm import DIM_GRID, scaling_cases
 
 
 class TestWorkloads:

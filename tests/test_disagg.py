@@ -28,13 +28,14 @@ from repro.api import Deployment, DeploymentSpec
 from repro.errors import ConfigError
 from repro.serve.disagg import (
     DisaggCluster,
-    DisaggServingEngine,
     PoolSpec,
     make_router,
     router_names,
     validate_pools,
 )
-from repro.serve.engine import ServingEngine
+from repro.context import ExecutionContext
+from repro.serve.engine import ServingEngine, ServingPool
+from repro.workloads import poisson_trace
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..",
                           "examples", "configs")
@@ -71,8 +72,8 @@ class TestDegenerateColocated:
         spec = DeploymentSpec.from_dict(_payload(serving={
             "pools": [{"name": "all", "role": "both"}]}))
         engine = Deployment(spec).build_engine()
-        assert isinstance(engine, ServingEngine)
-        assert not isinstance(engine, DisaggServingEngine)
+        assert type(engine) is ServingEngine
+        assert [(p.name, p.role) for p in engine.pools] == [("all", "both")]
 
     def test_degenerate_pool_overrides_apply(self):
         """A both-pool carrying its own engine equals the colocated
@@ -84,12 +85,52 @@ class TestDegenerateColocated:
         explicit["model"] = {"num_layers": 1, "engine": "vllm-ds"}
         assert degenerate == _run_json(explicit)
 
-    def test_multi_pool_builds_the_disagg_engine(self):
+    def test_multi_pool_builds_one_engine_with_two_pools(self):
         spec = DeploymentSpec.from_dict(_payload(serving={
             "pools": [{"name": "pf", "role": "prefill"},
                       {"name": "dc", "role": "decode"}]}))
         engine = Deployment(spec).build_engine()
-        assert isinstance(engine, DisaggServingEngine)
+        assert type(engine) is ServingEngine
+        assert [(p.name, p.role) for p in engine.pools] == [
+            ("pf", "prefill"), ("dc", "decode")]
+
+
+class TestPooledEngine:
+    """The engine's own pool surface, without the deployment layer."""
+
+    def test_explicit_one_pool_equals_the_ctx_form(self):
+        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds", "a100")
+        trace = poisson_trace(num_requests=12, rate_qps=80.0, seed=3)
+
+        def report(**kw):
+            engine = ServingEngine(num_layers=1, seed=5, page_size=16, **kw)
+            return json.dumps(engine.run(trace).to_dict(), sort_keys=True)
+
+        assert (report(pools=[ServingPool(ctx, name="solo")])
+                == report(ctx=ctx))
+
+    def test_ctx_and_pools_are_exclusive(self):
+        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds", "a100")
+        with pytest.raises(ConfigError, match="either ctx or pools"):
+            ServingEngine(ctx=ctx, pools=[ServingPool(ctx)])
+        with pytest.raises(ConfigError, match="ctx or pools"):
+            ServingEngine()
+
+    def test_pools_must_share_one_model(self):
+        pools = [
+            ServingPool(ExecutionContext.create(
+                "mixtral-8x7b", "samoyeds", "a100"),
+                name="pf", role="prefill"),
+            ServingPool(ExecutionContext.create(
+                "qwen2-moe", "samoyeds", "a100"),
+                name="dc", role="decode")]
+        with pytest.raises(ConfigError, match="one model"):
+            ServingEngine(pools=pools)
+
+    def test_pool_role_is_validated(self):
+        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds", "a100")
+        with pytest.raises(ConfigError, match="role:"):
+            ServingPool(ctx, role="verify")
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +387,6 @@ class TestPoolValidation:
             PoolSpec(name="a", role="prefill"),
             PoolSpec(name="m", role="decode")])
         assert [p.name for p in cluster.prefill_pools] == ["a", "z"]
-        assert not cluster.is_degenerate
 
     def test_spec_errors_carry_config_paths(self):
         with pytest.raises(ConfigError, match=r"serving\.pools\[1\]\.role"):

@@ -27,7 +27,7 @@ from repro.moe.memory_model import (
 from repro.serve.batcher import ActiveRequest, StepPlan
 from repro.serve.engine import ServingEngine, simulate
 from repro.serve.events import Arrival, EventKind, StepComplete
-from repro.serve.request import Request, poisson_trace
+from repro.workloads import Request, poisson_trace
 
 MODEL = "qwen2-moe"
 
@@ -262,7 +262,7 @@ def make_pricer(check_every=1):
     ctx = make_ctx()
     engine = ServingEngine(ctx=ctx, seed=0)
     return SanitizedStepPricer(ctx, engine._layers,
-                               engine._popularity, engine._rng,
+                               engine._popularity, engine._pools[0].rng,
                                check_every=check_every)
 
 
@@ -344,7 +344,7 @@ def test_env_var_enables_sanitizer(monkeypatch):
     ctx = make_ctx()
     engine = ServingEngine(ctx=ctx)
     assert engine._sanitize is True
-    assert isinstance(engine._pricer, SanitizedStepPricer)
+    assert isinstance(engine._pools[0].pricer, SanitizedStepPricer)
     monkeypatch.delenv("REPRO_SANITIZE")
     assert ServingEngine(ctx=ctx)._sanitize is False
 

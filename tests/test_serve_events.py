@@ -23,7 +23,7 @@ from repro.serve.events import (
     Preempt,
     StepComplete,
 )
-from repro.serve.request import Request
+from repro.workloads import Request
 
 
 def _req(rid, arrival_s=0.0):

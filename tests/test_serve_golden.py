@@ -20,7 +20,7 @@ from repro.context import ExecutionContext
 from repro.serve._legacy_loop import ReferenceEngine
 from repro.serve.batcher import ChunkedPrefillBatcher, StaticBatcher
 from repro.serve.engine import ServingEngine
-from repro.serve.request import poisson_trace
+from repro.workloads import poisson_trace
 
 
 def _run(cls, ctx_args, ctx_kw, eng_kw, trace):

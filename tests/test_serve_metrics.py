@@ -11,7 +11,7 @@ from repro.serve.metrics import (
     percentile,
     summarise,
 )
-from repro.serve.request import Request
+from repro.workloads import Request
 
 
 class TestPercentile:
