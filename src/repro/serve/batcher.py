@@ -68,6 +68,11 @@ class ActiveRequest:
         return self.generated >= self.request.output_tokens
 
 
+def arrival_order(ar: ActiveRequest) -> tuple[float, int]:
+    """The stable ``(arrival_s, rid)`` order of per-step work."""
+    return (ar.request.arrival_s, ar.request.rid)
+
+
 @dataclass(frozen=True)
 class PrefillChunk:
     """One step's slice of a request's prompt (chunked prefill)."""

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.analysis.sanitizer import KVTransferAuditor
 from repro.hw.interconnect import ClusterSpec, LinkSpec
 from repro.moe.memory_model import kv_cache_bytes
-from repro.serve.batcher import ActiveRequest
+from repro.serve.batcher import ActiveRequest, arrival_order
 from repro.serve.events import EventManager, KVTransfer
 from repro.serve.metrics import PercentileSummary
 # Unused here: perfbench's tracer patches ``summarise`` in this module.
@@ -43,11 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.serve.engine import _Pool
     from repro.workloads.tenants import TenantSpec
     from repro.workloads.traces import Request
-
-
-def arrival_order(ar: ActiveRequest) -> tuple[float, int]:
-    """The stable ``(arrival_s, rid)`` order of per-step work."""
-    return (ar.request.arrival_s, ar.request.rid)
 
 
 class KVMigrator:

@@ -93,11 +93,11 @@ from repro.serve.batcher import (
     Batcher,
     ContinuousBatcher,
     StepPlan,
+    arrival_order,
 )
 from repro.serve.costs import StepPricer
 from repro.serve.disagg.engine import (
     KVMigrator,
-    arrival_order,
     cluster_gpu_name,
     pools_report,
 )
