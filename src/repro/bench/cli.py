@@ -28,11 +28,14 @@ Subcommands:
   fanned over ``--jobs`` worker processes, emitting
   ``BENCH_sweep.json`` (see :mod:`repro.bench.sweepbench`).
 
-``run`` and ``scale`` accept ``--jobs N`` to execute independent sweep
-points on a :class:`~repro.exec.PointRunner` process pool — payloads
-are byte-identical to the serial loop, results always land in grid
-order, and an infeasible or crashed point fails alone (see
-:mod:`repro.exec`).
+``run`` (sweep grids), ``scale`` and ``disagg`` run their points
+through one :class:`~repro.exec.PointRunner`: ``--jobs 1`` (the
+default) runs them in-process, ``--jobs N`` fans them over worker
+processes after warming a shared dispatch table.  Payloads are
+byte-identical either way, results land in grid order, and an
+infeasible point becomes an ``error`` entry.  A crashed point (a bug,
+not infeasibility) keeps its grid position too, but the command exits
+1 (see :mod:`repro.exec`).
 
 ``serve`` and ``scale`` are thin shims over
 :class:`repro.api.DeploymentSpec`: every flag maps to a spec field (the
@@ -43,7 +46,9 @@ same specs straight from YAML/JSON files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 
 from repro.api.spec import ENGINE_ALIASES  # canonical alias map
 from repro.bench.figures import EXPERIMENTS, run_experiment
@@ -71,16 +76,11 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=4096)
 
 
-def _add_jobs_args(parser: argparse.ArgumentParser) -> None:
+def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for sweep points "
-                             "(1 = serial; payloads are byte-identical "
-                             "either way)")
-    parser.add_argument("--warm", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="warm the shared dispatch table once "
-                             "before fan-out (engine=auto sweeps; "
-                             "--no-warm starts workers cold)")
+                             "(1 = in-process; payloads are "
+                             "byte-identical either way)")
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -289,17 +289,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
            if not plan.is_trivial else {}),
         "engines": reports,
     }
-    text = render_json(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    return _emit(payload, args.output)
 
 
 def _progress_line(result, done: int, total: int) -> None:
-    """One stderr line per completed parallel point."""
+    """One stderr line per completed sweep point."""
     if result.ok:
         status = "ok"
     elif result.crashed:
@@ -310,34 +304,43 @@ def _progress_line(result, done: int, total: int) -> None:
           file=sys.stderr)
 
 
-def _run_parallel(specs, labels, jobs: int, warm: bool):
-    """Fan deployment specs over the process pool (grid-ordered
-    results), with the warm shared-dispatch-table pre-pass."""
-    import os
-    import tempfile
-
+def _run_points(specs, labels, jobs: int):
+    """Run deployment specs through the :class:`~repro.exec.PointRunner`
+    (grid-ordered results).  ``jobs=1`` runs in-process; fanning out
+    to worker processes first warms a temporary shared dispatch table
+    for them."""
     from repro.exec import PointRunner, warm_selection_table
 
     with tempfile.TemporaryDirectory(prefix="repro-exec-") as tmp:
-        table_path = os.path.join(tmp, "dispatch-table.json")
-        if warm:
+        table_path = None
+        if jobs > 1 and len(specs) > 1:
+            table_path = os.path.join(tmp, "dispatch-table.json")
             warm_selection_table(specs, table_path)
         runner = PointRunner(jobs=jobs, table_path=table_path,
                              progress=_progress_line)
         return runner.run(specs, labels)
 
 
+def _emit(payload: dict, output: "str | None", results=()) -> int:
+    """Write the JSON payload to ``output`` (stdout when unset) and
+    return the exit status: 1 if any point crashed (a bug, not an
+    infeasible point; its progress line printed the crash), else 0."""
+    text = render_json(payload)
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return 1 if any(result.crashed for result in results) else 0
+
+
 def cmd_scale(args: argparse.Namespace) -> int:
-    from repro.api import Deployment, DeploymentSpec
-    from repro.errors import ReproError
+    from repro.api import DeploymentSpec
     from repro.serve.metrics import ServeReport
 
     if args.mode not in ("ep", "tp"):
         print("repro bench scale: --mode must be ep or tp",
               file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("repro bench scale: --jobs must be >= 1", file=sys.stderr)
         return 2
     try:
         devices = [int(d) for d in args.devices.split(",") if d.strip()]
@@ -365,20 +368,31 @@ def cmd_scale(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    def point_spec(count: int,
-                   scale_load: bool) -> tuple[DeploymentSpec, int]:
-        factor = count if scale_load else 1
-        spec = base.with_overrides({
-            "hardware.parallel": f"{args.mode}={count}",
-            "workload.requests": args.requests * factor,
-            "workload.qps": args.qps * factor,
-        })
-        return spec, factor
-
-    def point_payload(spec: DeploymentSpec, count: int, factor: int,
-                      report: ServeReport) -> dict[str, object]:
+    # One point per (count, series); weak scaling multiplies the load
+    # by the device count, so at one device it is the strong point.
+    specs, labels, meta = [], [], []
+    for pos, count in enumerate(devices):
+        for series, factor in (("strong", 1), ("weak", count)):
+            if series == "weak" and count == 1:
+                continue
+            specs.append(base.with_overrides({
+                "hardware.parallel": f"{args.mode}={count}",
+                "workload.requests": args.requests * factor,
+                "workload.qps": args.qps * factor,
+            }))
+            labels.append(f"{count} devices ({series})")
+            meta.append((series, pos, count, factor))
+    results = _run_points(specs, labels, args.jobs)
+    table: dict[tuple[str, int], dict[str, object]] = {}
+    for (series, pos, count, factor), spec, result in zip(meta, specs,
+                                                          results):
+        if result.error is not None:
+            table[(series, pos)] = {"devices": count,
+                                    "error": result.error}
+            continue
+        report = ServeReport.from_dict(result.report)
         cluster = report.cluster or {}
-        return {
+        table[(series, pos)] = {
             "devices": count,
             "parallel": spec.hardware.parallel.describe(),
             "qps_offered": args.qps * factor,
@@ -390,54 +404,9 @@ def cmd_scale(args: argparse.Namespace) -> int:
             "comm_fraction": cluster.get("comm_fraction", 0.0),
             "experts_per_device": cluster.get("experts_per_device"),
         }
-
-    strong: list[dict[str, object]] = []
-    weak: list[dict[str, object]] = []
-    if args.jobs > 1 and len(devices) > 1:
-        # Fan every (count, series) point over the pool, then
-        # reassemble the strong/weak series in device order — byte-
-        # identical to the serial payload (the golden tests pin it).
-        specs, labels, meta = [], [], []
-        for pos, count in enumerate(devices):
-            for series, scale_load in (("strong", False),
-                                       ("weak", True)):
-                if scale_load and count == 1:
-                    continue          # same point as strong at 1 device
-                spec, factor = point_spec(count, scale_load)
-                specs.append(spec)
-                labels.append(f"{count} devices ({series})")
-                meta.append((series, pos, count, factor, spec))
-        results = _run_parallel(specs, labels, args.jobs, args.warm)
-        table: dict[tuple[str, int], dict[str, object]] = {}
-        for (series, pos, count, factor, spec), result in zip(meta,
-                                                              results):
-            if result.error is not None:
-                table[(series, pos)] = {"devices": count,
-                                        "error": result.error}
-            else:
-                table[(series, pos)] = point_payload(
-                    spec, count, factor,
-                    ServeReport.from_dict(result.report))
-        for pos, count in enumerate(devices):
-            strong.append(table[("strong", pos)])
-            weak.append(dict(strong[-1]) if count == 1
-                        else table[("weak", pos)])
-    else:
-        for count in devices:
-            for series, scale_load in ((strong, False), (weak, True)):
-                if scale_load and count == 1:
-                    series.append(dict(strong[-1]))  # same point at 1
-                    continue
-                spec, factor = point_spec(count, scale_load)
-                try:
-                    report = Deployment(spec).run()
-                except ReproError as exc:
-                    label = "weak" if scale_load else "strong"
-                    print(f"# {count} devices ({label}): infeasible "
-                          f"({exc})", file=sys.stderr)
-                    series.append({"devices": count, "error": str(exc)})
-                    continue
-                series.append(point_payload(spec, count, factor, report))
+    strong = [table[("strong", pos)] for pos in range(len(devices))]
+    weak = [dict(strong[pos]) if count == 1 else table[("weak", pos)]
+            for pos, count in enumerate(devices)]
 
     # Speedups are only meaningful relative to the smallest swept device
     # count; if that point errored, print "-" rather than rebasing.
@@ -476,22 +445,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         "strong": strong,
         "weak": weak,
     }
-    text = render_json(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
-
-
-def _sweep_row(label: str, report) -> list[object]:
-    """One sweep-table row (shared by the serial and parallel paths)."""
-    return [label, report.completed,
-            f"{report.qps_sustained:.2f}",
-            f"{report.output_tokens_per_s:.0f}",
-            f"{report.ttft_s.p50 * 1e3:.1f}",
-            f"{report.tpot_s.p50 * 1e3:.2f}"]
+    return _emit(payload, args.output, results)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -499,9 +453,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.serve.metrics import REPORT_HEADERS, ServeReport
 
-    if args.jobs < 1:
-        print("repro bench run: --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         base, points = load_sweep(args.config)
     except ConfigError as exc:
@@ -522,50 +473,33 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 1
         print(render_table(REPORT_HEADERS, [report.summary_row()],
                            title=title), file=sys.stderr)
-        payload: dict[str, object] = report.to_dict()
-    else:
-        entries: list[dict[str, object]] = []
-        rows = []
-        if args.jobs > 1 and len(points) > 1:
-            results = _run_parallel([p.spec for p in points],
-                                    [p.describe() for p in points],
-                                    args.jobs, args.warm)
-            for point, result in zip(points, results):
-                entry = {"overrides": dict(point.overrides)}
-                if result.error is not None:
-                    entry["error"] = result.error
-                else:
-                    entry["report"] = result.report
-                    rows.append(_sweep_row(
-                        point.describe(),
-                        ServeReport.from_dict(result.report)))
-                entries.append(entry)
+        return _emit(report.to_dict(), args.output)
+
+    labels = [point.describe() for point in points]
+    results = _run_points([point.spec for point in points], labels,
+                          args.jobs)
+    entries: list[dict[str, object]] = []
+    rows = []
+    for point, label, result in zip(points, labels, results):
+        entry: dict[str, object] = {"overrides": dict(point.overrides)}
+        if result.error is not None:
+            entry["error"] = result.error
         else:
-            for point in points:
-                entry = {"overrides": dict(point.overrides)}
-                try:
-                    report = Deployment(point.spec).run()
-                except ReproError as exc:
-                    print(f"# {point.describe()}: infeasible ({exc})",
-                          file=sys.stderr)
-                    entry["error"] = str(exc)
-                else:
-                    entry["report"] = report.to_dict()
-                    rows.append(_sweep_row(point.describe(), report))
-                entries.append(entry)
-        if rows:
-            print(render_table(
-                ["point", "done", "qps", "tok/s", "ttft p50 ms",
-                 "tpot p50 ms"], rows, title=title), file=sys.stderr)
-        payload = {"config": args.config, "base": base.to_dict(),
-                   "sweep": entries}
-    text = render_json(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+            entry["report"] = result.report
+            report = ServeReport.from_dict(result.report)
+            rows.append([label, report.completed,
+                         f"{report.qps_sustained:.2f}",
+                         f"{report.output_tokens_per_s:.0f}",
+                         f"{report.ttft_s.p50 * 1e3:.1f}",
+                         f"{report.tpot_s.p50 * 1e3:.2f}"])
+        entries.append(entry)
+    if rows:
+        print(render_table(
+            ["point", "done", "qps", "tok/s", "ttft p50 ms",
+             "tpot p50 ms"], rows, title=title), file=sys.stderr)
+    payload = {"config": args.config, "base": base.to_dict(),
+               "sweep": entries}
+    return _emit(payload, args.output, results)
 
 
 def cmd_disagg(args: argparse.Namespace) -> int:
@@ -573,13 +507,8 @@ def cmd_disagg(args: argparse.Namespace) -> int:
     counts, with a colocated reference point."""
     from repro.api import Deployment
     from repro.api.loader import load_deployment
-    from repro.errors import ReproError
     from repro.serve.metrics import ServeReport
 
-    if args.jobs < 1:
-        print("repro bench disagg: --jobs must be >= 1",
-              file=sys.stderr)
-        return 2
     try:
         base = load_deployment(args.config)
     except ConfigError as exc:
@@ -646,17 +575,17 @@ def cmd_disagg(args: argparse.Namespace) -> int:
         specs.append(Deployment.from_dict(payload).spec)
         labels.append(f"{np_}:{nd}")
 
+    results = _run_points(specs, labels, args.jobs)
     entries: list[dict[str, object]] = []
     rows = []
-
-    def record(label: str, report: "ServeReport | None",
-               error: "str | None") -> None:
+    for label, result in zip(labels, results):
         entry: dict[str, object] = {"split": label}
-        if error is not None:
-            entry["error"] = error
+        if result.error is not None:
+            entry["error"] = result.error
             rows.append([label, "-", "-", "-", "-", "-"])
         else:
-            entry["report"] = report.to_dict()
+            entry["report"] = result.report
+            report = ServeReport.from_dict(result.report)
             transfer = report.transfer or {}
             rows.append([label, report.completed,
                          f"{report.qps_sustained:.2f}",
@@ -664,23 +593,6 @@ def cmd_disagg(args: argparse.Namespace) -> int:
                          f"{report.tpot_s.p99 * 1e3:.2f}",
                          f"{transfer.get('seconds_total', 0.0):.4f}"])
         entries.append(entry)
-
-    if args.jobs > 1 and len(specs) > 1:
-        results = _run_parallel(specs, labels, args.jobs, args.warm)
-        for label, result in zip(labels, results):
-            if result.error is not None:
-                record(label, None, result.error)
-            else:
-                record(label, ServeReport.from_dict(result.report), None)
-    else:
-        for label, spec in zip(labels, specs):
-            try:
-                report = Deployment(spec).run()
-            except ReproError as exc:
-                print(f"# {label}: infeasible ({exc})", file=sys.stderr)
-                record(label, None, str(exc))
-                continue
-            record(label, report, None)
 
     print(render_table(
         ["split (prefill:decode)", "done", "qps", "ttft p99 ms",
@@ -690,13 +602,7 @@ def cmd_disagg(args: argparse.Namespace) -> int:
                f"link={base.serving.transfer_link})")), file=sys.stderr)
     payload = {"config": args.config, "base": base_payload,
                "points": entries}
-    text = render_json(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    return _emit(payload, args.output, results)
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
@@ -749,10 +655,6 @@ def cmd_sim(args: argparse.Namespace) -> int:
 def cmd_sweepbench(args: argparse.Namespace) -> int:
     from repro.bench import sweepbench
 
-    if args.jobs < 1:
-        print("repro bench sweepbench: --jobs must be >= 1",
-              file=sys.stderr)
-        return 2
     requests = args.requests
     if requests is None:
         requests = (sweepbench.QUICK_POINT_REQUESTS if args.quick
@@ -924,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None,
                    help="write the JSON report here instead of stdout")
-    _add_jobs_args(p)
+    _add_jobs_arg(p)
     _add_gpu_arg(p)
     p.set_defaults(fn=cmd_scale)
 
@@ -943,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 1:1,2:1,1:2)")
     p.add_argument("--output", default=None,
                    help="write the JSON report here instead of stdout")
-    _add_jobs_args(p)
+    _add_jobs_arg(p)
     p.set_defaults(fn=cmd_disagg)
 
     p = sub.add_parser(
@@ -953,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path to the config file (see examples/configs)")
     p.add_argument("--output", default=None,
                    help="write the JSON report here instead of stdout")
-    _add_jobs_args(p)
+    _add_jobs_arg(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser(
@@ -1016,6 +918,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        print(f"repro bench {args.command}: --jobs must be >= 1",
+              file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

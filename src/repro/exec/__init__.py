@@ -16,16 +16,17 @@ and seed.  This package fans them over a ``spawn``-safe process pool:
 * :class:`~repro.exec.pool.PointRunner` — the executor: deterministic
   index-ordered results, per-point fault containment, a progress
   callback per completed point;
-* :func:`~repro.exec.warm.warm_selection_table` — the optional
+* :func:`~repro.exec.warm.warm_selection_table` — the fan-out
   pre-pass that prices ``engine="auto"`` selections once in the
   parent so workers start from a populated cache.
 
-Determinism contract: serial and parallel runs of the same grid
+Determinism contract: in-process and parallel runs of the same grid
 produce byte-identical payloads — warm or cold caches only change
-*when* a winner is computed, never *which* winner wins.  The CLI
-exposes the pool as ``--jobs N`` on ``repro bench run`` and ``repro
-bench scale``; ``repro bench sweepbench`` measures the speedup into
-``BENCH_sweep.json``.
+*when* a winner is computed, never *which* winner wins.  Every sweep
+command of the CLI (``repro bench run``, ``scale`` and ``disagg``)
+runs its points through one ``PointRunner``, with ``--jobs N``
+choosing the worker count; ``repro bench sweepbench`` measures the
+speedup into ``BENCH_sweep.json``.
 """
 
 from repro.exec.pool import PointRunner, ProgressFn

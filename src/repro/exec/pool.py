@@ -10,17 +10,16 @@ and reassembles the results **by point index**: the returned list is
 always in grid order, whatever order workers finish in.
 
 ``jobs=1`` (or a single point) runs in-process through the same
-:func:`~repro.exec.worker.run_point` entry — the serial timing side
-of ``repro bench sweepbench`` and a no-multiprocessing fallback in
-one.
+:func:`~repro.exec.worker.run_point` entry — the CLI sweep commands'
+default, the serial timing side of ``repro bench sweepbench`` and a
+no-multiprocessing fallback in one.
 
 Fault containment: an infeasible point surfaces as its ``error``
-result (like the serial loop); an unexpected exception inside a
-worker is caught there and marks only that point ``crashed``; if the
-pool itself breaks (a worker process killed hard), every point whose
-future died reports a crash result and the rest of the sweep
-continues to completion — the executor never raises out of ``run``
-for a per-point failure.
+result; an unexpected exception inside a worker is caught there and
+marks only that point ``crashed``; if the pool itself breaks (a
+worker process killed hard), every point whose future died reports a
+crash result and the rest of the sweep continues to completion — the
+executor never raises out of ``run`` for a per-point failure.
 """
 
 from __future__ import annotations

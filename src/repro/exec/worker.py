@@ -9,16 +9,13 @@ plain types end to end, picklable under any start method, importable
 by a ``spawn`` child without side effects beyond the normal
 :mod:`repro` import.
 
-Failure semantics mirror the serial sweep loop where they can and
-contain what the serial loop cannot:
+Failure semantics:
 
 * a :class:`~repro.errors.ReproError` (infeasible point — OOM, an
   unplaceable expert grid, a config the engine rejects) becomes an
-  ``error`` result, exactly the entry the serial ``repro bench run``
-  loop records;
+  ``error`` result, recorded as the point's ``error`` entry;
 * any *other* exception marks the result ``crashed`` — the point is
-  lost, every other point is unaffected (serially this would abort
-  the whole sweep);
+  lost, every other point is unaffected, and the CLI exits 1;
 * shared-table I/O failures are swallowed: the warm dispatch table is
   a cache, and a cache miss must never fail a point.
 """

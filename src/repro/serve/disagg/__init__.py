@@ -12,7 +12,6 @@ sections that loop uses when it has more than one pool.  See
 
 from repro.serve.disagg.pools import (
     POOL_ROLES,
-    DisaggCluster,
     PoolSpec,
     validate_pools,
 )
@@ -26,7 +25,6 @@ from repro.serve.disagg.routers import (
 )
 
 __all__ = [
-    "DisaggCluster",
     "PHASES",
     "POOL_ROLES",
     "PoolSpec",

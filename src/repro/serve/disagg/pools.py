@@ -1,13 +1,13 @@
 """Pool model for disaggregated prefill/decode serving.
 
 A :class:`PoolSpec` names one GPU pool and the phase(s) it serves;
-a :class:`DisaggCluster` validates a set of pools and partitions the
-combined device topology into named slices.  Each pool runs its own
-engine selection, :class:`~repro.hw.interconnect.ParallelPlan`,
-batcher and memory ledger; finished prompts migrate from a
-prefill-role pool to a decode-role pool over the cluster's inter-pool
-link (priced by :meth:`~repro.hw.interconnect.LinkSpec.transfer_seconds`,
-scheduled as :class:`~repro.serve.events.KVTransfer` events).
+:func:`validate_pools` checks a set of pools for one deployment.  Each
+pool runs its own engine selection,
+:class:`~repro.hw.interconnect.ParallelPlan`, batcher and memory
+ledger; finished prompts migrate from a prefill-role pool to a
+decode-role pool over the deployment's inter-pool link (priced by
+:meth:`~repro.hw.interconnect.LinkSpec.transfer_seconds`, scheduled as
+:class:`~repro.serve.events.KVTransfer` events).
 
 Validation follows the :class:`~repro.workloads.tenants.TenantSpec`
 convention: field-level errors raise :class:`~repro.errors.ConfigError`
@@ -21,14 +21,8 @@ from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigError
-from repro.hw.interconnect import (
-    ClusterSpec,
-    LinkSpec,
-    ParallelPlan,
-    get_link,
-    parse_parallel,
-)
-from repro.hw.spec import GPUSpec, get_gpu
+from repro.hw.interconnect import ParallelPlan, parse_parallel
+from repro.hw.spec import get_gpu
 from repro.moe.layers import ENGINES
 from repro.serve.batcher import BATCHER_NAMES
 
@@ -175,84 +169,3 @@ def validate_pools(pools: Sequence[PoolSpec]) -> None:
         raise ConfigError(
             "pools: no decode-capable pool (need role=decode or "
             "role=both)")
-
-
-@dataclass(frozen=True)
-class DisaggCluster:
-    """A validated set of pools plus their inter-pool transfer link.
-
-    The cluster partitions the combined device topology: every pool
-    contributes ``PoolSpec.num_devices`` copies of its GPU, and
-    :meth:`device_slices` names each pool's contiguous slice of the
-    union :class:`~repro.hw.interconnect.ClusterSpec` (joined by the
-    transfer link — the hop KV blocks cross on migration).
-    """
-
-    pools: tuple[PoolSpec, ...]
-    link: LinkSpec
-
-    def __post_init__(self) -> None:
-        validate_pools(self.pools)
-
-    @classmethod
-    def build(cls, pools: Sequence[PoolSpec],
-              link: "LinkSpec | str" = "pcie4") -> "DisaggCluster":
-        """Construct from pool specs and a link (name or spec)."""
-        link_spec = get_link(link) if isinstance(link, str) else link
-        return cls(pools=tuple(pools), link=link_spec)
-
-    @property
-    def prefill_pools(self) -> tuple[PoolSpec, ...]:
-        """Prefill-capable pools in stable name order (the router's
-        deterministic tie-break domain)."""
-        return tuple(sorted((p for p in self.pools if p.serves_prefill),
-                            key=lambda p: p.name))
-
-    @property
-    def decode_pools(self) -> tuple[PoolSpec, ...]:
-        """Decode-capable pools in stable name order."""
-        return tuple(sorted((p for p in self.pools if p.serves_decode),
-                            key=lambda p: p.name))
-
-    def pool(self, name: str) -> PoolSpec:
-        for p in self.pools:
-            if p.name == name:
-                return p
-        known = ", ".join(p.name for p in self.pools)
-        raise ConfigError(f"unknown pool {name!r} (known: {known})")
-
-    def resolve_gpu(self, pool: PoolSpec,
-                    default_gpu: "GPUSpec | str") -> GPUSpec:
-        """The pool's device, falling back to the deployment default."""
-        name = pool.gpu if pool.gpu is not None else default_gpu
-        return name if isinstance(name, GPUSpec) else get_gpu(name)
-
-    def cluster_spec(self, default_gpu: "GPUSpec | str") -> ClusterSpec:
-        """Union topology: every pool's devices over the transfer link."""
-        gpus: list[GPUSpec] = []
-        for pool in self.pools:
-            gpus.extend([self.resolve_gpu(pool, default_gpu)]
-                        * pool.num_devices)
-        return ClusterSpec(gpus=tuple(gpus), link=self.link)
-
-    def device_slices(self) -> dict[str, tuple[int, int]]:
-        """Each pool's ``[start, stop)`` slice of the union topology,
-        in declaration order."""
-        slices: dict[str, tuple[int, int]] = {}
-        start = 0
-        for pool in self.pools:
-            stop = start + pool.num_devices
-            slices[pool.name] = (start, stop)
-            start = stop
-        return slices
-
-    def describe(self, default_gpu: "GPUSpec | str") -> str:
-        """Human-readable identity, e.g.
-        ``prefill=h100 + decode=w7900 over pcie4``."""
-        parts = []
-        for pool in self.pools:
-            gpu = self.resolve_gpu(pool, default_gpu)
-            count = pool.num_devices
-            suffix = f"x{count}" if count > 1 else ""
-            parts.append(f"{pool.name}={gpu.name}{suffix}")
-        return " + ".join(parts) + f" over {self.link.name}"

@@ -1,10 +1,12 @@
 """``--jobs N`` on the bench CLI: golden serial/parallel equivalence.
 
-The executor's user-facing contract: ``repro bench run`` and ``repro
-bench scale`` emit **byte-identical** JSON whether the points run
-serially or fanned over worker processes — including under the
-runtime sim-sanitizer — and an infeasible sweep point keeps its grid
-position as an ``error`` entry either way.
+The executor's user-facing contract: ``repro bench run``, ``repro
+bench scale`` and ``repro bench disagg`` emit **byte-identical** JSON
+whether the points run in-process (``--jobs 1``) or fanned over worker
+processes — including under the runtime sim-sanitizer — and an
+infeasible sweep point keeps its grid position as an ``error`` entry
+either way.  A crashed point (a bug) keeps its position too, but the
+command exits 1.
 """
 
 import json
@@ -17,6 +19,7 @@ from repro.bench.cli import main
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..",
                           "examples", "configs")
 CLUSTER_SWEEP = os.path.join(CONFIG_DIR, "cluster_sweep.yaml")
+DISAGG_POOLS = os.path.join(CONFIG_DIR, "disagg_pools.yaml")
 
 SCALE_ARGS = ["scale", "--devices", "1,2", "--requests", "8",
               "--qps", "8", "--prompt-tokens", "64",
@@ -60,15 +63,31 @@ class TestRunGolden:
         assert code == 0
         assert sanitized == baseline
 
-    def test_cold_table_also_identical(self, capsys):
-        """--no-warm skips the pre-pass; winners are recomputed in
-        each worker but are deterministic, so bytes still match."""
-        code, serial = run_cli(capsys, ["run", CLUSTER_SWEEP])
-        assert code == 0
-        code, cold = run_cli(capsys, ["run", CLUSTER_SWEEP,
-                                      "--jobs", "2", "--no-warm"])
-        assert code == 0
-        assert cold == serial
+
+class TestCrashedPoint:
+    def test_crashed_point_exits_nonzero_and_keeps_position(
+            self, capsys, monkeypatch):
+        """A non-ReproError inside one point is a bug: the payload is
+        still written with the point at its grid position, but the
+        command exits 1 instead of passing as infeasible."""
+        from repro.api import Deployment
+
+        real_run = Deployment.run
+
+        def run(self, *args, **kwargs):
+            if self.spec.hardware.parallel.ep == 2:
+                raise RuntimeError("injected bug")
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Deployment, "run", run)
+        assert main(["run", CLUSTER_SWEEP, "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        sweep = json.loads(captured.out)["sweep"]
+        assert len(sweep) == 4
+        assert sweep[1]["overrides"] == {"hardware.parallel": "ep=2"}
+        assert "injected bug" in sweep[1]["error"]
+        assert all("report" in sweep[i] for i in (0, 2, 3))
+        assert "crashed" in captured.err
 
 
 class TestInfeasiblePointPosition:
@@ -122,3 +141,13 @@ class TestScaleGolden:
         payload = json.loads(serial)
         assert [p["devices"] for p in payload["strong"]] == [1, 2]
         assert [p["devices"] for p in payload["weak"]] == [1, 2]
+
+
+class TestDisaggGolden:
+    def test_pool_split_parallel_byte_identical(self, capsys):
+        args = ["disagg", DISAGG_POOLS, "--splits", "1:1,2:1"]
+        code, serial = run_cli(capsys, args)
+        assert code == 0
+        code, parallel = run_cli(capsys, args + ["--jobs", "2"])
+        assert code == 0
+        assert parallel == serial

@@ -27,7 +27,6 @@ from repro.analysis.sanitizer import KVTransferAuditor, SanitizerError
 from repro.api import Deployment, DeploymentSpec
 from repro.errors import ConfigError
 from repro.serve.disagg import (
-    DisaggCluster,
     PoolSpec,
     make_router,
     router_names,
@@ -287,6 +286,24 @@ class TestRouterDeterminism:
                       {"name": "dc1", "role": "decode"}]})
         assert _run_json(payload) == _run_json(payload)
 
+    def test_pools_are_served_in_name_order(self):
+        """The engine orders pools by name, not declaration: reversing
+        the declared order changes nothing, and round-robin hands the
+        first prompt to the alphabetically first prefill pool."""
+        def payload(names):
+            roles = {"z": "prefill", "a": "prefill", "m": "decode"}
+            return _payload(
+                serving={"router": "round_robin",
+                         "pools": [{"name": n, "role": roles[n]}
+                                   for n in names]},
+                workload={"requests": 5})
+
+        declared = _run_json(payload("zam"))
+        assert declared == _run_json(payload("azm"))
+        pools = json.loads(declared)["pools"]
+        assert pools["a"]["requests_prefilled"] == 3
+        assert pools["z"]["requests_prefilled"] == 2
+
 
 # ----------------------------------------------------------------------
 # Satellite: the KV-transfer conservation auditor.
@@ -380,13 +397,6 @@ class TestPoolValidation:
             validate_pools([PoolSpec(name="a", role="prefill")])
         with pytest.raises(ConfigError, match="prefill-capable"):
             validate_pools([PoolSpec(name="a", role="decode")])
-
-    def test_cluster_orders_phase_pools_by_name(self):
-        cluster = DisaggCluster.build([
-            PoolSpec(name="z", role="prefill"),
-            PoolSpec(name="a", role="prefill"),
-            PoolSpec(name="m", role="decode")])
-        assert [p.name for p in cluster.prefill_pools] == ["a", "z"]
 
     def test_spec_errors_carry_config_paths(self):
         with pytest.raises(ConfigError, match=r"serving\.pools\[1\]\.role"):
