@@ -11,12 +11,12 @@ routing profile.
 Run:  PYTHONPATH=src python examples/cluster_scaling.py
 """
 
-from repro.context import ExecutionContext
+from repro.api import Deployment, DeploymentSpec
+from repro.hw import get_gpu
 from repro.hw.interconnect import ParallelPlan
 from repro.models.full_model import cluster_model_estimate
 from repro.moe.config import get_model
 from repro.moe.memory_model import weight_bytes
-from repro.serve import poisson_trace, simulate
 from repro.utils.units import GIB
 
 MODEL, GPU, SEED = "mixtral-8x7b", "rtx4070s", 7
@@ -29,14 +29,18 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Expert-parallel scaling: per-device weights and sustained QPS.
     # ------------------------------------------------------------------
-    trace = poisson_trace(32, rate_qps=100.0, prompt_tokens=512,
-                          output_tokens=16, seed=SEED)
-    print(f"{MODEL} on {GPU} over nvlink, {len(trace)} requests "
-          f"(saturating load):")
+    base = DeploymentSpec.from_dict({
+        "model": {"name": MODEL, "engine": "samoyeds"},
+        "hardware": {"gpu": GPU, "link": "nvlink"},
+        "workload": {"requests": 32, "qps": 100.0, "prompt_tokens": 512,
+                     "output_tokens": 16, "seed": SEED},
+    })
+    print(f"{MODEL} on {GPU} over nvlink, {base.workload.requests} "
+          f"requests (saturating load):")
     for ep in EP_SWEEP:
         plan = ParallelPlan(ep=ep)
-        report = simulate(MODEL, "samoyeds", GPU, trace=trace, seed=SEED,
-                          parallel=plan.describe(), link="nvlink")
+        report = Deployment(base.with_overrides(
+            {"hardware.parallel": plan.describe()})).run()
         cluster = report.cluster or {}
         weights = weight_bytes(config, "samoyeds", plan)
         print(f"  ep={ep}  {report.qps_sustained:6.2f} qps  "
@@ -49,21 +53,20 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\nep=8 under progressively slower links:")
     for link in ("nvlink", "pcie4", "ib"):
-        report = simulate(MODEL, "samoyeds", GPU, trace=trace, seed=SEED,
-                          parallel="ep=8", link=link)
+        report = Deployment(base.with_overrides(
+            {"hardware.parallel": "ep=8", "hardware.link": link})).run()
         print(f"  {link:7s} {report.qps_sustained:6.2f} qps  "
               f"comm {report.cluster['comm_fraction'] * 100:4.1f}%")
 
     # ------------------------------------------------------------------
     # Placement policy under skewed routing.
     # ------------------------------------------------------------------
-    skewed = poisson_trace(32, rate_qps=100.0, prompt_tokens=512,
-                           output_tokens=16, seed=SEED)
+    skewed = base.with_overrides({"hardware.parallel": "ep=4",
+                                  "workload.routing_skew": 1.0})
     print("\nplacement under zipf(1.0) routing skew, ep=4:")
     for policy in ("balanced", "round_robin"):
-        report = simulate(MODEL, "samoyeds", GPU, trace=skewed, seed=SEED,
-                          parallel="ep=4", routing_skew=1.0,
-                          placement_policy=policy)
+        report = Deployment(skewed.with_overrides(
+            {"serving.placement": policy})).run()
         print(f"  {policy:11s} {report.qps_sustained:6.2f} qps  "
               f"experts/device {report.cluster['experts_per_device']}")
 
@@ -72,11 +75,10 @@ def main() -> None:
     # ------------------------------------------------------------------
     big = get_model("mixtral-8x22b")
     print(f"\n{big.name} deployment planning on {GPU}:")
-    ctx = ExecutionContext.create(big, "samoyeds", GPU)
     for ep, tp in ((1, 1), (8, 1), (8, 4), (8, 8)):
         est = cluster_model_estimate(big, "samoyeds",
                                      ParallelPlan(ep=ep, tp=tp),
-                                     spec=ctx.spec)
+                                     spec=get_gpu(GPU))
         print(f"  ep={ep} tp={tp}: {est.weights_gib_per_device:6.1f} "
               f"GiB/dev  latency {est.latency_s * 1e3:7.1f} ms  "
               f"comm {est.comm_fraction * 100:4.1f}%  "

@@ -23,10 +23,11 @@ invariant name and the event/request/step involved, so the failure
 points at the source rather than at a drifted downstream percentile.
 
 Enabling: ``REPRO_SANITIZE=1`` in the environment, or
-``sanitize=True`` on :func:`repro.serve.engine.simulate` /
-:class:`repro.api.DeploymentSpec`.  The wrappers replay the same
-arithmetic as the unwrapped classes, so a sanitized run's report is
-byte-identical to an unsanitized one (the golden tests pin this).
+``sanitize=True`` on :class:`repro.serve.engine.ServingEngine` /
+``serving.sanitize`` in a :class:`repro.api.DeploymentSpec`.  The
+wrappers replay the same arithmetic as the unwrapped classes, so a
+sanitized run's report is byte-identical to an unsanitized one (the
+golden tests pin this).
 """
 
 from __future__ import annotations

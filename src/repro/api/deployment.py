@@ -10,11 +10,10 @@ arrival trace — for callers that want to drive
 with ``serving.pools``, builds one :class:`ServingEngine`: a colocated
 spec is its one-pool case.
 
-The construction here is *definitionally* what the legacy
-:func:`repro.serve.simulate` call does with the equivalent kwargs: the
-same ``ExecutionContext.create`` path, the same batcher factory and the
-same seeded trace generators, so a default-spec run is byte-identical
-to its pre-spec counterpart (the golden tests pin this).
+The construction is the same ``ExecutionContext.create`` path, batcher
+factory and seeded trace generators a hand-built ``ServingEngine``
+uses, so a spec run is byte-identical to driving the engine directly
+with the equivalent arguments (the golden tests pin this).
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
 """Typed deployment specs: the declarative half of the public API.
 
 The serving stack spans engines, batchers, paged KV admission, parallel
-plans and cluster topologies; before this module its only entry points
-were the many-kwarg :func:`repro.serve.simulate` signature and a pile of
-CLI flags.  Here every choice becomes *data*: four frozen section specs
-composed into one :class:`DeploymentSpec` —
+plans and cluster topologies.  Here every choice becomes *data*: four
+frozen section specs composed into one :class:`DeploymentSpec` —
 
 * :class:`ModelSpec` — which Table-2 model and MoE engine, how many
   decoder layers per step, FlashAttention on or off;
@@ -49,11 +47,6 @@ import repro.registry.selector  # noqa: F401  (registers engine "auto")
 #: Friendly engine aliases accepted anywhere an engine is named (specs
 #: and the ``serve --engines`` flag; the CLI re-exports this map).
 ENGINE_ALIASES = {"vllm": "vllm-ds", "hf": "transformers"}
-
-#: Trace kinds a :class:`WorkloadSpec` can generate.  Deprecated alias
-#: of the :data:`repro.workloads.WORKLOADS` registry keys (kept for
-#: pre-registry imports); registering a new workload extends it.
-TRACE_KINDS = tuple(WORKLOADS)
 
 #: Expert-placement policies (mirrors ``moe.scheduler.place_experts``).
 PLACEMENT_POLICIES = ("balanced", "round_robin")

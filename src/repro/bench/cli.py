@@ -293,7 +293,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _progress_line(result, done: int, total: int) -> None:
-    """One stderr line per completed sweep point."""
+    """One stderr line per completed sweep point, followed by the
+    traceback of a crashed one."""
     if result.ok:
         status = "ok"
     elif result.crashed:
@@ -302,6 +303,8 @@ def _progress_line(result, done: int, total: int) -> None:
         status = f"infeasible ({result.error})"
     print(f"# [{done}/{total}] {result.label or 'base'}: {status}",
           file=sys.stderr)
+    if result.traceback:
+        print(result.traceback, end="", file=sys.stderr)
 
 
 def _run_points(specs, labels, jobs: int):
@@ -464,7 +467,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # A no-sweep config loads as exactly one override-free point.
     if len(points) == 1 and not points[0].overrides:
         # Single run: the payload IS the report, so the JSON stays
-        # interchangeable with a legacy `simulate()` result.
+        # interchangeable with `ServeReport.to_dict()`.
         try:
             report = Deployment(base).run()
         except ReproError as exc:

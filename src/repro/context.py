@@ -108,8 +108,8 @@ class ExecutionContext:
         :class:`~repro.hw.interconnect.LinkSpec` or registry name —
         derives a homogeneous cluster of ``gpu`` copies joined by that
         link when the plan is non-trivial and no explicit ``cluster``
-        was given.  This is the one construction path shared by
-        :func:`repro.serve.simulate`, the CLI and the deployment API.
+        was given.  This is the one construction path shared by the
+        CLI and the deployment API.
         """
         config = get_model(model) if isinstance(model, str) else model
         spec = gpu if isinstance(gpu, GPUSpec) else (

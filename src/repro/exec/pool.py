@@ -24,6 +24,7 @@ executor never raises out of ``run`` for a per-point failure.
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -120,7 +121,8 @@ class PointRunner:
                     result = PointResult(
                         index=job.index, label=job.label, crashed=True,
                         error=(f"worker crashed: "
-                               f"{type(exc).__name__}: {exc}"))
+                               f"{type(exc).__name__}: {exc}"),
+                        traceback=traceback.format_exc())
                 results[job.index] = result
                 done += 1
                 self._notify(result, done, total)

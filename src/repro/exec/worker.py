@@ -15,7 +15,8 @@ Failure semantics:
   unplaceable expert grid, a config the engine rejects) becomes an
   ``error`` result, recorded as the point's ``error`` entry;
 * any *other* exception marks the result ``crashed`` — the point is
-  lost, every other point is unaffected, and the CLI exits 1;
+  lost, every other point is unaffected, and the CLI prints the
+  traceback and exits 1;
 * shared-table I/O failures are swallowed: the warm dispatch table is
   a cache, and a cache miss must never fail a point.
 """
@@ -23,6 +24,7 @@ Failure semantics:
 from __future__ import annotations
 
 import os
+import traceback
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -55,9 +57,10 @@ class PointResult:
     Exactly one of ``report`` / ``error`` is set.  ``crashed``
     distinguishes a contained non-:class:`~repro.errors.ReproError`
     failure (a bug, not an infeasible point) from the modelled
-    ``error`` case.  ``table_entries`` carries the selection-table
-    entries this run recorded, so the parent can warm its own
-    dispatcher without re-reading the shared file.
+    ``error`` case; a crash also carries its formatted ``traceback``.
+    ``table_entries`` carries the selection-table entries this run
+    recorded, so the parent can warm its own dispatcher without
+    re-reading the shared file.
     """
 
     index: int
@@ -65,6 +68,7 @@ class PointResult:
     report: "dict | None" = None
     error: "str | None" = None
     crashed: bool = False
+    traceback: "str | None" = None
     table_entries: dict = field(default_factory=dict)
 
     @property
@@ -132,7 +136,8 @@ def run_point(job: PointJob) -> PointResult:
     except Exception as exc:  # crash containment: fail only this point
         return PointResult(
             index=job.index, label=job.label, crashed=True,
-            error=f"worker crashed: {type(exc).__name__}: {exc}")
+            error=f"worker crashed: {type(exc).__name__}: {exc}",
+            traceback=traceback.format_exc())
     new_entries = {key: value for key, value in table.entries.items()
                    if key not in before}
     if new_entries and job.table_path is not None:

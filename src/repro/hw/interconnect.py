@@ -82,9 +82,6 @@ class LinkSpec:
 LINK_REGISTRY: Registry[LinkSpec] = Registry("link",
                                              error_cls=HardwareModelError)
 
-# Legacy private alias kept for external callers of the old module API.
-_LINKS = LINK_REGISTRY
-
 
 def register_link(link: LinkSpec, replace: bool = False) -> LinkSpec:
     """Add ``link`` to the registry; collisions raise unless replacing

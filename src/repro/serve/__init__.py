@@ -48,7 +48,7 @@ from repro.serve.batcher import (
     StepPlan,
     make_batcher,
 )
-from repro.serve.engine import ServingEngine, ServingPool, simulate
+from repro.serve.engine import ServingEngine, ServingPool
 from repro.serve.metrics import (
     PercentileSummary,
     ServeReport,
@@ -87,7 +87,6 @@ __all__ = [
     "StepPlan",
     "ServingEngine",
     "ServingPool",
-    "simulate",
     "PercentileSummary",
     "ServeReport",
     "percentile",

@@ -89,6 +89,32 @@ class TestCrashedPoint:
         assert all("report" in sweep[i] for i in (0, 2, 3))
         assert "crashed" in captured.err
 
+    def test_crashed_point_prints_its_traceback(self, capsys,
+                                                monkeypatch):
+        """A crash shows the stack it was raised from, even in-process
+        at ``--jobs 1``; the payload's ``error`` entry stays the one
+        line."""
+        from repro.api import Deployment
+
+        real_run = Deployment.run
+
+        def explode_in_named_helper():
+            raise RuntimeError("injected bug")
+
+        def run(self, *args, **kwargs):
+            if self.spec.hardware.parallel.ep == 2:
+                explode_in_named_helper()
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Deployment, "run", run)
+        assert main(["run", CLUSTER_SWEEP, "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback (most recent call last)" in captured.err
+        assert "explode_in_named_helper" in captured.err
+        sweep = json.loads(captured.out)["sweep"]
+        assert sweep[1]["error"] == ("worker crashed: RuntimeError: "
+                                     "injected bug")
+
 
 class TestInfeasiblePointPosition:
     @pytest.fixture

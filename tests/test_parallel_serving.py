@@ -1,5 +1,5 @@
 """Cluster-scale serving: sharded footprints, per-device ledgers and
-the parallel serving paths of ``simulate``."""
+the parallel serving paths of ``ServingEngine``."""
 
 import pytest
 
@@ -14,7 +14,7 @@ from repro.moe.memory_model import (
     per_sequence_bytes,
     weight_bytes,
 )
-from repro.serve import ServingEngine, poisson_trace, simulate
+from repro.serve import ServingEngine, poisson_trace
 
 CFG = MODEL_REGISTRY["mixtral-8x7b"]
 
@@ -132,34 +132,43 @@ class TestDeviceLedgers:
 class TestParallelServing:
     def test_trivial_plan_matches_single_gpu_report(self):
         trace = _trace()
-        base = simulate("mixtral-8x7b", trace=trace, seed=3)
-        via_plan = simulate("mixtral-8x7b", trace=trace, seed=3,
-                            parallel="ep=1,tp=1")
+        single = ExecutionContext.create("mixtral-8x7b")
+        trivial = ExecutionContext.create("mixtral-8x7b",
+                                          parallel="ep=1,tp=1")
+        base = ServingEngine(ctx=single, seed=3).run(trace)
+        via_plan = ServingEngine(ctx=trivial, seed=3).run(trace)
         assert base.to_dict() == via_plan.to_dict()
         assert base.cluster is None
 
     def test_qps_scales_monotonically_with_ep(self):
         trace = _trace(24, qps=200.0, prompt=512)
-        qps = [simulate("mixtral-8x7b", trace=trace, seed=3,
-                        parallel=f"ep={ep}").qps_sustained
-               for ep in (1, 2, 4, 8)]
+
+        def qps_at(ep):
+            ctx = ExecutionContext.create("mixtral-8x7b",
+                                          parallel=f"ep={ep}")
+            return ServingEngine(ctx=ctx, seed=3).run(trace).qps_sustained
+
+        qps = [qps_at(ep) for ep in (1, 2, 4, 8)]
         assert qps == sorted(qps)
         assert qps[-1] > qps[0] * 1.5
 
     def test_slow_link_degrades_qps(self):
         trace = _trace(24, qps=200.0, prompt=512)
         choked = LinkSpec(name="choked", latency_s=1e-4, bandwidth=1e9)
-        fast = simulate("mixtral-8x7b", trace=trace, seed=3,
-                        parallel="ep=8", link="nvlink")
-        slow = simulate("mixtral-8x7b", trace=trace, seed=3,
-                        parallel="ep=8", link=choked)
+
+        def serve(link):
+            ctx = ExecutionContext.create("mixtral-8x7b", parallel="ep=8",
+                                          link=link)
+            return ServingEngine(ctx=ctx, seed=3).run(trace)
+
+        fast, slow = serve("nvlink"), serve(choked)
         assert slow.qps_sustained < fast.qps_sustained
         assert (slow.cluster["comm_fraction"]
                 > fast.cluster["comm_fraction"])
 
     def test_cluster_section_reports_topology(self):
-        report = simulate("mixtral-8x7b", trace=_trace(), seed=3,
-                          parallel="ep=4", num_layers=4)
+        ctx = ExecutionContext.create("mixtral-8x7b", parallel="ep=4")
+        report = ServingEngine(ctx=ctx, seed=3, num_layers=4).run(_trace())
         cluster = report.cluster
         assert cluster["parallel"]["ep"] == 4
         assert cluster["link"] == "nvlink"
@@ -171,15 +180,16 @@ class TestParallelServing:
         assert "cluster" in report.to_dict()
 
     def test_tp_serving_runs(self):
-        report = simulate("mixtral-8x7b", trace=_trace(), seed=3,
-                          parallel="tp=2", num_layers=4)
+        ctx = ExecutionContext.create("mixtral-8x7b", parallel="tp=2")
+        report = ServingEngine(ctx=ctx, seed=3, num_layers=4).run(_trace())
         assert report.completed == 16
         assert report.cluster["comm_fraction"] > 0.0
 
     def test_round_robin_placement_supported(self):
-        report = simulate("mixtral-8x7b", trace=_trace(), seed=3,
-                          parallel="ep=4", num_layers=4,
-                          placement_policy="round_robin")
+        ctx = ExecutionContext.create("mixtral-8x7b", parallel="ep=4")
+        report = ServingEngine(ctx=ctx, seed=3, num_layers=4,
+                               placement_policy="round_robin"
+                               ).run(_trace())
         assert report.cluster["placement_policy"] == "round_robin"
 
     def test_dp_serving_rejected(self):
@@ -189,9 +199,9 @@ class TestParallelServing:
             ServingEngine(ctx=ctx)
 
     def test_paged_parallel_serving_runs(self):
-        report = simulate("mixtral-8x7b", trace=_trace(), seed=3,
-                          parallel="ep=2,tp=2", num_layers=4,
-                          page_size=16)
+        ctx = ExecutionContext.create("mixtral-8x7b", parallel="ep=2,tp=2")
+        report = ServingEngine(ctx=ctx, seed=3, num_layers=4,
+                               page_size=16).run(_trace())
         assert report.completed == 16
 
     def test_oversized_request_still_raises(self, spec):
@@ -206,24 +216,26 @@ class TestParallelServing:
         huge = poisson_trace(1, 1.0, prompt_tokens=4096,
                              output_tokens=4096, jitter=0.0, seed=1)
         with pytest.raises(CapacityError):
-            simulate(ctx, trace=huge, seed=1)
+            ServingEngine(ctx=ctx, seed=1).run(huge)
 
 
 class TestHorizon:
     def test_zero_completions_yield_empty_report(self):
         # Regression: this used to raise from percentile()/"no request
         # completed" instead of returning a structured zero.
-        report = simulate("mixtral-8x7b", trace=_trace(), seed=3,
-                          horizon_s=1e-9)
+        ctx = ExecutionContext.create("mixtral-8x7b")
+        report = ServingEngine(ctx=ctx, seed=3,
+                               horizon_s=1e-9).run(_trace())
         assert report.completed == 0
         assert report.qps_sustained == 0.0
         assert report.ttft_s["p99"] == 0.0
         assert report.summary_row()
 
     def test_partial_horizon_completes_some(self):
-        full = simulate("mixtral-8x7b", trace=_trace(), seed=3)
-        cut = simulate("mixtral-8x7b", trace=_trace(), seed=3,
-                       horizon_s=full.duration_s * 0.6)
+        ctx = ExecutionContext.create("mixtral-8x7b")
+        full = ServingEngine(ctx=ctx, seed=3).run(_trace())
+        cut = ServingEngine(ctx=ctx, seed=3,
+                            horizon_s=full.duration_s * 0.6).run(_trace())
         assert 0 < cut.completed < full.completed
         assert cut.duration_s <= full.duration_s
 
@@ -234,103 +246,21 @@ class TestHorizon:
 
 
 class TestSimulatePrebuiltContext:
-    """`simulate(ctx, ...)`: construction arguments that contradict a
-    prebuilt context raise (they used to be silently ignored);
-    redundant arguments agreeing with the context stay accepted."""
-
-    def test_contradicting_arguments_raise(self):
-        trace = _trace(8)
-        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds",
-                                      "rtx4070s", streams=1, flash=True)
-        with pytest.raises(ConfigError, match="prebuilt"):
-            simulate(ctx, engine="transformers", gpu="a100",
-                     streams=7, flash=False, trace=trace, seed=3,
-                     num_layers=4)
-        for override in ({"engine": "transformers"}, {"gpu": "a100"},
-                         {"streams": 7}, {"flash": False}):
-            with pytest.raises(ConfigError,
-                               match=next(iter(override))):
-                simulate(ctx, trace=trace, seed=3, num_layers=4,
-                         **override)
-
-    def test_parallel_raises_with_context(self):
-        trace = _trace(8)
-        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds")
-        with pytest.raises(ConfigError, match="parallel"):
-            simulate(ctx, trace=trace, seed=3, num_layers=4,
-                     parallel="ep=4", link="pcie4")
-
-    def test_link_inert_on_single_device_context(self):
-        # A trivial-plan context never prices a link, so passing one is
-        # harmless (the legacy ignored-argument behaviour).
-        trace = _trace(8)
-        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds")
-        base = simulate(ctx, trace=trace, seed=3, num_layers=4)
-        report = simulate(ctx, trace=trace, seed=3, num_layers=4,
-                          link="pcie4")
-        assert report.to_dict() == base.to_dict()
-
-    def test_link_conflict_on_device_grid_raises(self):
-        trace = _trace(8)
-        grid = ExecutionContext.create("mixtral-8x7b", "samoyeds",
-                                       parallel="ep=2", link="nvlink")
-        with pytest.raises(ConfigError, match="link"):
-            simulate(grid, trace=trace, seed=3, num_layers=4,
-                     link="pcie4")
-
-    def test_redundant_arguments_matching_context_accepted(self):
-        trace = _trace(8)
-        ctx = ExecutionContext.create("mixtral-8x7b", "megablocks",
-                                      "a100", streams=2, flash=False)
-        base = simulate(ctx, trace=trace, seed=3, num_layers=4)
-        redundant = simulate(ctx, engine="megablocks", gpu="a100",
-                             streams=2, flash=False, trace=trace,
-                             seed=3, num_layers=4)
-        assert redundant.to_dict() == base.to_dict()
-        assert redundant.engine == "megablocks"
-        assert redundant.gpu == "a100"
-
-    def test_equivalent_parallel_plan_accepted(self):
-        # ParallelPlan() is semantically the None default.
-        trace = _trace(8)
-        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds")
-        report = simulate(ctx, trace=trace, seed=3, num_layers=4,
-                          parallel=ParallelPlan())
-        assert report.cluster is None
-        grid = ExecutionContext.create("mixtral-8x7b", "samoyeds",
-                                       parallel="ep=2")
-        matching = simulate(grid, trace=trace, seed=3, num_layers=4,
-                            parallel="ep=2", link="nvlink")
-        assert matching.cluster["parallel"]["ep"] == 2
-
-    def test_default_valued_arguments_still_accepted(self):
-        # Explicitly passing the signature defaults is
-        # indistinguishable from not passing them; the context wins.
-        trace = _trace(8)
-        ctx = ExecutionContext.create("mixtral-8x7b", "megablocks",
-                                      "a100")
-        base = simulate(ctx, trace=trace, seed=3, num_layers=4)
-        explicit = simulate(ctx, engine="samoyeds", gpu="rtx4070s",
-                            streams=1, flash=True, parallel=None,
-                            link=None, trace=trace, seed=3,
-                            num_layers=4)
-        assert explicit.to_dict() == base.to_dict()
-        assert explicit.engine == "megablocks"
-        assert explicit.gpu == "a100"
+    """A prebuilt context fixes the engine, device, plan and topology
+    of the run; a malformed plan is rejected where it is built."""
 
     def test_context_carries_its_own_plan(self):
         trace = _trace(8)
         ctx = ExecutionContext.create(
             "mixtral-8x7b", "samoyeds", parallel=ParallelPlan(ep=2))
-        report = simulate(ctx, trace=trace, seed=3, num_layers=4)
+        report = ServingEngine(ctx=ctx, seed=3, num_layers=4).run(trace)
         assert report.cluster["parallel"]["ep"] == 2
 
     def test_malformed_parallel_spec_rejected(self):
-        trace = _trace(4)
         with pytest.raises(ConfigError):
-            simulate("mixtral-8x7b", trace=trace, parallel="ep=0")
+            ExecutionContext.create("mixtral-8x7b", parallel="ep=0")
         with pytest.raises(ConfigError):
-            simulate("mixtral-8x7b", trace=trace, parallel="banana=2")
+            ExecutionContext.create("mixtral-8x7b", parallel="banana=2")
 
 
 class TestContextParallelValidation:

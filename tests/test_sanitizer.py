@@ -24,8 +24,8 @@ from repro.moe.memory_model import (
     DeviceLedgers,
     KVCacheTracker,
 )
-from repro.serve.batcher import ActiveRequest, StepPlan
-from repro.serve.engine import ServingEngine, simulate
+from repro.serve.batcher import ActiveRequest, StepPlan, make_batcher
+from repro.serve.engine import ServingEngine
 from repro.serve.events import Arrival, EventKind, StepComplete
 from repro.workloads import Request, poisson_trace
 
@@ -318,24 +318,23 @@ def test_check_every_samples():
 # ----------------------------------------------------------------------
 # End to end: byte-identity and env-var opt-in
 # ----------------------------------------------------------------------
-def report_json(**kwargs):
+def report_json(engine="samoyeds", parallel=None, batcher="continuous",
+                **kwargs):
     trace = poisson_trace(num_requests=24, rate_qps=40.0, seed=11)
-    report = simulate(MODEL, trace=trace, **kwargs)
-    return json.dumps(report.to_dict(), sort_keys=True)
+    ctx = ExecutionContext.create(MODEL, engine, parallel=parallel)
+    server = ServingEngine(ctx=ctx, batcher=make_batcher(batcher),
+                           **kwargs)
+    return json.dumps(server.run(trace).to_dict(), sort_keys=True)
 
 
 @pytest.mark.parametrize("kwargs", [
     {},
     {"page_size": 16},
-    {"batcher_name": "chunked"},
+    {"batcher": "chunked"},
     {"parallel": "ep=2", "seed": 3},
     {"engine": "auto"},
 ], ids=["plain", "paged", "chunked", "distributed", "auto"])
 def test_sanitized_report_byte_identical(kwargs):
-    kwargs = dict(kwargs)
-    if kwargs.pop("batcher_name", None) == "chunked":
-        from repro.serve.batcher import ChunkedPrefillBatcher
-        kwargs["batcher"] = ChunkedPrefillBatcher()
     assert report_json(**kwargs) == report_json(sanitize=True, **kwargs)
 
 

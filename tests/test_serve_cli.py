@@ -249,17 +249,19 @@ workload: {requests: 6, qps: 8.0, prompt_tokens: 128, output_tokens: 4}
         assert "ttft p50 ms" in captured.err      # table on stderr
 
     def test_single_run_matches_legacy_simulate(self, tmp_path, capsys):
-        from repro.serve import poisson_trace, simulate
+        from repro.context import ExecutionContext
+        from repro.serve import ServingEngine, poisson_trace
+        from repro.utils.rng import DEFAULT_SEED
         path = self._write(tmp_path, self.CONFIG)
         assert main(["run", path]) == 0
         payload = json.loads(capsys.readouterr().out)
-        from repro.utils.rng import DEFAULT_SEED
-        legacy = simulate(
-            "mixtral-8x7b", "samoyeds", "rtx4070s",
-            trace=poisson_trace(6, 8.0, prompt_tokens=128,
-                                output_tokens=4, seed=DEFAULT_SEED),
-            num_layers=2, seed=DEFAULT_SEED)
-        assert payload == json.loads(json.dumps(legacy.to_dict()))
+        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds",
+                                      "rtx4070s")
+        trace = poisson_trace(6, 8.0, prompt_tokens=128, output_tokens=4,
+                              seed=DEFAULT_SEED)
+        direct = ServingEngine(ctx=ctx, num_layers=2,
+                               seed=DEFAULT_SEED).run(trace)
+        assert payload == json.loads(json.dumps(direct.to_dict()))
 
     def test_sweep_run_expands_grid(self, tmp_path, capsys):
         path = self._write(tmp_path, self.CONFIG + """

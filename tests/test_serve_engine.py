@@ -21,7 +21,6 @@ from repro.serve import (
     bursty_trace,
     poisson_trace,
     replay_trace,
-    simulate,
 )
 from repro.serve.engine import ServingEngine
 
@@ -35,6 +34,12 @@ def ctx():
 
 
 @pytest.fixture(scope="module")
+def vllm_ctx():
+    """vLLM-DS on the 12 GiB card, where Table-3 limits bind."""
+    return ExecutionContext.create("mixtral-8x7b", "vllm-ds", "rtx4070s")
+
+
+@pytest.fixture(scope="module")
 def burst():
     return bursty_trace(48, rate_qps=4.0, prompt_tokens=256,
                         output_tokens=24, seed=SEED)
@@ -42,18 +47,18 @@ def burst():
 
 class TestContinuousVsStatic:
     def test_continuous_sustains_higher_qps_on_bursty(self, ctx, burst):
-        cont = simulate(ctx, trace=burst,
-                        batcher=ContinuousBatcher(token_budget=4096),
-                        seed=SEED)
-        stat = simulate(ctx, trace=burst,
-                        batcher=StaticBatcher(batch_size=8), seed=SEED)
+        cont = ServingEngine(ctx=ctx,
+                             batcher=ContinuousBatcher(token_budget=4096),
+                             seed=SEED).run(burst)
+        stat = ServingEngine(ctx=ctx, batcher=StaticBatcher(batch_size=8),
+                             seed=SEED).run(burst)
         assert cont.completed == stat.completed == len(burst)
         assert cont.qps_sustained > stat.qps_sustained
 
     def test_continuous_cuts_tail_ttft(self, ctx, burst):
-        cont = simulate(ctx, trace=burst, seed=SEED)
-        stat = simulate(ctx, trace=burst,
-                        batcher=StaticBatcher(batch_size=8), seed=SEED)
+        cont = ServingEngine(ctx=ctx, seed=SEED).run(burst)
+        stat = ServingEngine(ctx=ctx, batcher=StaticBatcher(batch_size=8),
+                             seed=SEED).run(burst)
         assert cont.ttft_s["p99"] < stat.ttft_s["p99"]
 
 
@@ -66,7 +71,7 @@ class TestEmergentMemoryLimit:
                 table3 = footprint(CFG, engine, seq, spec).max_batch()
                 assert tracker.max_concurrent(seq) == table3
 
-    def test_sim_concurrency_caps_at_table3(self):
+    def test_sim_concurrency_caps_at_table3(self, vllm_ctx):
         """Max batch emerges from admission, never configured."""
         spec = get_gpu("rtx4070s")
         seq, output = 4096, 8
@@ -74,10 +79,9 @@ class TestEmergentMemoryLimit:
         assert 0 < limit < 12          # tight enough to bind in the sim
         trace = replay_trace([(0.0, seq - output, output)
                               for _ in range(limit + 4)])
-        report = simulate("mixtral-8x7b", "vllm-ds", "rtx4070s",
-                          trace=trace,
-                          batcher=ContinuousBatcher(token_budget=10 ** 9),
-                          num_layers=1, seed=SEED)
+        report = ServingEngine(
+            ctx=vllm_ctx, batcher=ContinuousBatcher(token_budget=10 ** 9),
+            num_layers=1, seed=SEED).run(trace)
         assert report.max_concurrency == limit
         assert report.completed == len(trace)
 
@@ -92,8 +96,9 @@ class TestEmergentMemoryLimit:
         trace = poisson_trace(2, 1.0, prompt_tokens=64, output_tokens=4,
                               seed=SEED)
         with pytest.raises(CapacityError):
-            simulate("mixtral-8x22b", "vllm-ds", "rtx4070s", trace=trace,
-                     num_layers=1, seed=SEED)
+            ctx = ExecutionContext.create("mixtral-8x22b", "vllm-ds",
+                                          "rtx4070s")
+            ServingEngine(ctx=ctx, num_layers=1, seed=SEED).run(trace)
 
 
 class TestQueueDepthSampling:
@@ -102,9 +107,9 @@ class TestQueueDepthSampling:
         arrivals that landed during the step, undercounting p99/max."""
         trace = replay_trace([(0.0, 2048, 4)]
                              + [(1e-6, 32, 4) for _ in range(9)])
-        report = simulate(ctx, trace=trace,
-                          batcher=ContinuousBatcher(token_budget=4096),
-                          num_layers=1, seed=SEED)
+        report = ServingEngine(
+            ctx=ctx, batcher=ContinuousBatcher(token_budget=4096),
+            num_layers=1, seed=SEED).run(trace)
         # All 9 arrive during the long first prefill step: the first
         # sample must see them queued.
         assert report.queue_depth["max"] >= 9
@@ -116,18 +121,17 @@ class TestMemoryReporting:
         below the admission-charged budget."""
         trace = poisson_trace(12, 3.0, prompt_tokens=256,
                               output_tokens=8, seed=SEED)
-        report = simulate(ctx, trace=trace, seed=SEED)
+        report = ServingEngine(ctx=ctx, seed=SEED).run(trace)
         assert report.peak_reserved_bytes > report.peak_memory_bytes
         assert report.block_utilisation["max"] > 0
 
-    def test_block_ledger_never_exceeds_budget(self):
+    def test_block_ledger_never_exceeds_budget(self, vllm_ctx):
         from repro.moe.memory_model import BlockAllocator
         spec = get_gpu("rtx4070s")
         trace = replay_trace([(0.0, 1024, 3072) for _ in range(8)])
-        report = simulate("mixtral-8x7b", "vllm-ds", "rtx4070s",
-                          trace=trace,
-                          batcher=ContinuousBatcher(token_budget=10 ** 9),
-                          num_layers=1, seed=SEED, page_size=16)
+        report = ServingEngine(
+            ctx=vllm_ctx, batcher=ContinuousBatcher(token_budget=10 ** 9),
+            num_layers=1, seed=SEED, page_size=16).run(trace)
         budget = BlockAllocator(CFG, "vllm-ds", spec,
                                 page_size=16).budget_bytes
         assert report.peak_reserved_bytes <= budget
@@ -143,18 +147,18 @@ class TestPagedServing:
         trace = bursty_trace(24, rate_qps=2.0, prompt_tokens=2048,
                              output_tokens=16, seed=SEED)
         for engine in ("samoyeds", "vllm-ds"):
-            base = simulate("mixtral-8x7b", engine, "a100", trace=trace,
-                            batcher=ContinuousBatcher(token_budget=1024),
-                            num_layers=4, seed=SEED)
-            paged = simulate(
-                "mixtral-8x7b", engine, "a100", trace=trace,
-                batcher=ChunkedPrefillBatcher(token_budget=1024),
-                num_layers=4, seed=SEED, page_size=16)
+            ctx = ExecutionContext.create("mixtral-8x7b", engine, "a100")
+            base = ServingEngine(
+                ctx=ctx, batcher=ContinuousBatcher(token_budget=1024),
+                num_layers=4, seed=SEED).run(trace)
+            paged = ServingEngine(
+                ctx=ctx, batcher=ChunkedPrefillBatcher(token_budget=1024),
+                num_layers=4, seed=SEED, page_size=16).run(trace)
             assert base.completed == paged.completed == len(trace)
             assert paged.max_concurrency > base.max_concurrency, engine
             assert paged.ttft_s["p99"] < base.ttft_s["p99"], engine
 
-    def test_uniform_trace_paged_matches_table3(self):
+    def test_uniform_trace_paged_matches_table3(self, vllm_ctx):
         """Block-aligned uniform requests saturate at exactly the
         Table-3 max batch under paging too."""
         spec = get_gpu("rtx4070s")
@@ -162,43 +166,44 @@ class TestPagedServing:
         limit = footprint(CFG, "vllm-ds", seq, spec).max_batch()
         trace = replay_trace([(0.0, seq - output, output)
                               for _ in range(limit + 4)])
-        report = simulate("mixtral-8x7b", "vllm-ds", "rtx4070s",
-                          trace=trace,
-                          batcher=ContinuousBatcher(token_budget=10 ** 9),
-                          num_layers=1, seed=SEED, page_size=16)
+        report = ServingEngine(
+            ctx=vllm_ctx, batcher=ContinuousBatcher(token_budget=10 ** 9),
+            num_layers=1, seed=SEED, page_size=16).run(trace)
         assert report.max_concurrency == limit
         assert report.completed == len(trace)
 
-    def test_preempted_requests_finish(self):
+    def test_preempted_requests_finish(self, vllm_ctx):
         """Over-admitting at low live context forces block exhaustion
         mid-decode; every evicted request is recomputed to completion."""
         trace = replay_trace([(0.0, 1024, 3072) for _ in range(8)])
-        report = simulate("mixtral-8x7b", "vllm-ds", "rtx4070s",
-                          trace=trace,
-                          batcher=ContinuousBatcher(token_budget=10 ** 9),
-                          num_layers=1, seed=SEED, page_size=16)
+        report = ServingEngine(
+            ctx=vllm_ctx, batcher=ContinuousBatcher(token_budget=10 ** 9),
+            num_layers=1, seed=SEED, page_size=16).run(trace)
         assert report.preemptions > 0
         assert report.completed == len(trace)
         assert report.max_concurrency == 8      # paged over-admission
 
     def test_conservative_never_preempts(self, ctx, burst):
-        report = simulate(ctx, trace=burst, seed=SEED)
+        report = ServingEngine(ctx=ctx, seed=SEED).run(burst)
         assert report.preemptions == 0
 
     def test_paged_never_fits_raises(self):
         trace = replay_trace([(0.0, 64, 4)])
         with pytest.raises(CapacityError):
-            simulate("mixtral-8x22b", "vllm-ds", "rtx4070s", trace=trace,
-                     num_layers=1, seed=SEED, page_size=16)
+            ctx = ExecutionContext.create("mixtral-8x22b", "vllm-ds",
+                                          "rtx4070s")
+            ServingEngine(ctx=ctx, num_layers=1, seed=SEED,
+                          page_size=16).run(trace)
 
     def test_paged_deterministic(self):
         def run():
             trace = bursty_trace(16, 4.0, prompt_tokens=512,
                                  output_tokens=12, seed=SEED)
-            return simulate(
-                "mixtral-8x7b", "samoyeds", "a100", trace=trace,
-                batcher=ChunkedPrefillBatcher(token_budget=512),
-                num_layers=2, seed=SEED, page_size=16)
+            ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds",
+                                          "a100")
+            return ServingEngine(
+                ctx=ctx, batcher=ChunkedPrefillBatcher(token_budget=512),
+                num_layers=2, seed=SEED, page_size=16).run(trace)
         assert run().to_dict() == run().to_dict()
 
     def test_invalid_page_size_rejected(self, ctx):
@@ -212,14 +217,14 @@ class TestDeterminism:
         def run():
             trace = bursty_trace(32, 4.0, prompt_tokens=128,
                                  output_tokens=12, seed=SEED)
-            return simulate(ctx, trace=trace, seed=SEED)
+            return ServingEngine(ctx=ctx, seed=SEED).run(trace)
         assert run().to_dict() == run().to_dict()
 
     def test_different_trace_seed_changes_report(self, ctx):
         def run(seed):
             trace = bursty_trace(32, 4.0, prompt_tokens=128,
                                  output_tokens=12, seed=seed)
-            return simulate(ctx, trace=trace, seed=SEED)
+            return ServingEngine(ctx=ctx, seed=SEED).run(trace)
         assert run(1).duration_s != run(2).duration_s
 
 
@@ -229,8 +234,8 @@ class TestEngineComparison:
                               output_tokens=8, seed=SEED)
         for engine in ("transformers", "megablocks", "vllm-ds", "pit",
                        "samoyeds"):
-            report = simulate(ctx.with_engine(engine), trace=trace,
-                              seed=SEED)
+            report = ServingEngine(ctx=ctx.with_engine(engine),
+                                   seed=SEED).run(trace)
             assert report.engine == engine
             assert report.completed == len(trace)
             assert report.ttft_s["p50"] > 0
@@ -241,12 +246,12 @@ class TestLptScheduling:
     def test_streams_accelerate_samoyeds_steps(self, ctx):
         trace = poisson_trace(8, 4.0, prompt_tokens=256,
                               output_tokens=8, seed=SEED)
-        seq = simulate(ctx, trace=trace, seed=SEED)
-        par = simulate(ctx, trace=trace, seed=SEED)  # sanity: same config
+        seq = ServingEngine(ctx=ctx, seed=SEED).run(trace)
+        par = ServingEngine(ctx=ctx, seed=SEED).run(trace)  # same config
         assert seq.duration_s == par.duration_s
         ctx4 = ExecutionContext.create("mixtral-8x7b", "samoyeds", "a100",
                                        streams=4)
-        overlapped = simulate(ctx4, trace=trace, seed=SEED)
+        overlapped = ServingEngine(ctx=ctx4, seed=SEED).run(trace)
         assert overlapped.duration_s < seq.duration_s
 
     def test_lpt_deterministic(self):
@@ -254,8 +259,8 @@ class TestLptScheduling:
                                        streams=4)
         trace = poisson_trace(8, 4.0, prompt_tokens=128, output_tokens=6,
                               seed=SEED)
-        a = simulate(ctx4, trace=trace, routing_skew=1.0, seed=SEED)
-        b = simulate(ctx4, trace=trace, routing_skew=1.0, seed=SEED)
+        a = ServingEngine(ctx=ctx4, routing_skew=1.0, seed=SEED).run(trace)
+        b = ServingEngine(ctx=ctx4, routing_skew=1.0, seed=SEED).run(trace)
         assert a.to_dict() == b.to_dict()
 
 
@@ -263,7 +268,7 @@ class TestLifecycle:
     def test_ttft_tpot_ordering(self, ctx):
         trace = poisson_trace(12, 2.0, prompt_tokens=128,
                               output_tokens=8, seed=SEED)
-        report = simulate(ctx, trace=trace, seed=SEED)
+        report = ServingEngine(ctx=ctx, seed=SEED).run(trace)
         assert report.ttft_s["p50"] <= report.ttft_s["p90"] \
             <= report.ttft_s["p99"]
         assert report.tpot_s["p50"] <= report.tpot_s["p99"]
@@ -272,8 +277,8 @@ class TestLifecycle:
     def test_single_layer_faster_than_full_model(self, ctx):
         trace = poisson_trace(8, 3.0, prompt_tokens=128, output_tokens=6,
                               seed=SEED)
-        one = simulate(ctx, trace=trace, num_layers=1, seed=SEED)
-        full = simulate(ctx, trace=trace, seed=SEED)
+        one = ServingEngine(ctx=ctx, num_layers=1, seed=SEED).run(trace)
+        full = ServingEngine(ctx=ctx, seed=SEED).run(trace)
         assert one.ttft_s["p50"] < full.ttft_s["p50"]
 
     def test_engine_object_reusable(self, ctx):

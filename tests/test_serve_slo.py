@@ -13,7 +13,6 @@ from repro.serve import (
     make_scheduler,
     poisson_trace,
     replay_trace,
-    simulate,
 )
 from repro.serve.engine import ServingEngine
 from repro.serve.metrics import PercentileSummary, tenant_sections
@@ -98,7 +97,7 @@ class TestDefaultReportCompatibility:
     def test_single_tenant_report_has_no_tenants_key(self, ctx):
         trace = poisson_trace(8, 8.0, prompt_tokens=128,
                               output_tokens=8, seed=SEED)
-        report = simulate(ctx, trace=trace, seed=SEED)
+        report = ServingEngine(ctx=ctx, seed=SEED).run(trace)
         assert report.tenants is None
         assert "tenants" not in report.to_dict()
 
@@ -111,7 +110,7 @@ class TestDefaultReportCompatibility:
         tenants = (TenantSpec(name="a", share=0.5),
                    TenantSpec(name="b", share=0.5))
         stamped = assign_tenants(base, tenants, seed=SEED)
-        plain = simulate(ctx, trace=base, seed=SEED)
+        plain = ServingEngine(ctx=ctx, seed=SEED).run(base)
         engine = ServingEngine(ctx=ctx, batcher=ContinuousBatcher(),
                                seed=SEED, tenants=tenants)
         tenanted = engine.run(stamped)
