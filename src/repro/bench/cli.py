@@ -20,9 +20,10 @@ Subcommands:
   (single run or ``sweep:`` grid; see :mod:`repro.api`);
 * ``sim [--quick] [--check baseline.json]`` — benchmark the simulator
   itself: replay a synthetic trace through the event-calendar core and
-  the frozen pre-calendar loop, emit ``BENCH_sim.json`` with
-  simulated-requests/sec, steps/sec and the speedup, optionally gating
-  on a checked-in baseline ratio (see :mod:`repro.bench.simbench`);
+  the frozen pre-calendar loop, reserved and paged, emit
+  ``BENCH_sim.json`` with simulated-requests/sec, steps/sec and the
+  speedups, optionally gating on checked-in baseline ratios and on the
+  two engines' reports agreeing (see :mod:`repro.bench.simbench`);
 * ``sweepbench [--jobs N] [--check baseline.json]`` — benchmark the
   parallel experiment executor: the fixed 32-point grid serial vs
   fanned over ``--jobs`` worker processes, emitting
@@ -626,19 +627,22 @@ def cmd_sim(args: argparse.Namespace) -> int:
         requests=requests, reference_requests=reference,
         model=args.model, engine=engine, gpu=args.gpu,
         num_layers=args.layers, seed=args.seed)
-    event = payload["event_core"]
-    ref = payload["reference_loop"]
-    speedup = payload["speedup"]
+    rows = []
+    for label, row in (("reserved", payload), ("paged", payload["paged"])):
+        for core, key in (("event-calendar", "event_core"),
+                          ("reference-loop", "reference_loop")):
+            stats = row[key]
+            rows.append([label, core, stats["requests"], stats["steps"],
+                         f"{stats['wall_s']:.2f}",
+                         f"{stats['requests_per_s']:.0f}",
+                         f"{stats['steps_per_s']:.0f}"])
     print(render_table(
-        ["core", "requests", "steps", "wall s", "req/s", "steps/s"],
-        [["event-calendar", event["requests"], event["steps"],
-          f"{event['wall_s']:.2f}", f"{event['requests_per_s']:.0f}",
-          f"{event['steps_per_s']:.0f}"],
-         ["reference-loop", ref["requests"], ref["steps"],
-          f"{ref['wall_s']:.2f}", f"{ref['requests_per_s']:.0f}",
-          f"{ref['steps_per_s']:.0f}"]],
-        title=f"simulator throughput "
-              f"(speedup {speedup['requests_per_s']:.1f}x)"),
+        ["kv", "core", "requests", "steps", "wall s", "req/s", "steps/s"],
+        rows,
+        title=f"simulator throughput (speedup "
+              f"{payload['speedup']['requests_per_s']:.1f}x reserved, "
+              f"{payload['paged']['speedup']['requests_per_s']:.1f}x "
+              f"paged)"),
         file=sys.stderr)
     text = render_json(payload)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -908,8 +912,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="BENCH_sim.json",
                    help="benchmark JSON path (default: BENCH_sim.json)")
     p.add_argument("--check", default=None,
-                   help="baseline JSON to gate the speedup ratio "
-                        "against (benchmarks/BENCH_baseline.json)")
+                   help="baseline JSON to gate the speedup ratios and "
+                        "report identity against "
+                        "(benchmarks/BENCH_baseline.json)")
     p.add_argument("--tolerance", type=float, default=0.30,
                    help="allowed fractional drop below the baseline "
                         "speedup (default: 0.30)")

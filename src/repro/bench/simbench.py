@@ -10,12 +10,20 @@ frozen pre-calendar loop
 speedup of the calendar core over the reference — the speed
 trajectory later PRs answer to.
 
-The regression gate compares the *speedup ratio*, not absolute
+Two rows are measured on the same trace: reserved (conservative
+whole-request KV reservation) at the top level of the payload, and
+paged (``page_size=16`` block allocation) under ``paged``.  Each row
+also serves the reference slice through the event core, untimed, and
+records whether its report JSON equals the reference loop's.
+
+The regression gate compares the *speedup ratios*, not absolute
 requests/sec: both engines run on the same machine in the same
 process, so the ratio is machine-independent and survives noisy CI
-runners.  ``check_regression`` fails when the measured ratio falls
+runners.  ``check_regression`` fails when a row's measured ratio falls
 more than the tolerance below the checked-in baseline
-(``benchmarks/BENCH_baseline.json``).
+(``benchmarks/BENCH_baseline.json``), or when a row's event core
+reported differently from the reference loop — a fast but wrong core
+must not pass.
 """
 
 from __future__ import annotations
@@ -45,6 +53,9 @@ QUICK_REQUESTS = 3_000
 QUICK_REFERENCE_REQUESTS = 600
 DEFAULT_RATE_QPS = 10.0
 DEFAULT_SEED = 7
+
+#: KV page size (tokens) of the paged row.
+PAGED_PAGE_SIZE = 16
 
 #: Step allowance for the replay: the decode-heavy workload takes a
 #: few dozen steps per request, far past ``ServingEngine.run``'s
@@ -79,7 +90,13 @@ def synthetic_trace(num_requests: int, rate_qps: float = DEFAULT_RATE_QPS,
     return replay_trace(records)
 
 
-def _timed_run(engine, trace) -> dict[str, object]:
+def _report_json(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def _timed_run(engine, trace) -> tuple[dict[str, object], str]:
+    """Serve ``trace`` under a wall clock: throughput stats and the
+    report JSON."""
     start = time.perf_counter()
     report = engine.run(trace, max_steps=MAX_STEPS)
     wall = time.perf_counter() - start
@@ -89,33 +106,26 @@ def _timed_run(engine, trace) -> dict[str, object]:
         "completed": report.completed,
     }
     result.update(sim_throughput(len(trace), report.steps, wall))
-    return result
+    return result, _report_json(report)
 
 
-def run_benchmark(requests: int = DEFAULT_REQUESTS,
-                  reference_requests: int = DEFAULT_REFERENCE_REQUESTS,
-                  model: str = "mixtral-8x7b", engine: str = "samoyeds",
-                  gpu: str = "a100", num_layers: int = 1,
-                  rate_qps: float = DEFAULT_RATE_QPS,
-                  seed: int = DEFAULT_SEED) -> dict[str, object]:
-    """Run the two-sided benchmark and return the payload.
+def _row(make, page_size: int | None, trace: list[Request],
+         reference_requests: int) -> dict[str, object]:
+    """One benchmark row: both engines timed, plus report identity.
 
     The event core serves the full trace; the reference loop serves
     the first ``reference_requests`` of the *same* trace (its
     per-request cost is what the calendar removed, so a slice bounds
-    the benchmark's wall clock).  Requests/sec compare like for like:
-    simulated requests over wall seconds on the same machine.
+    the benchmark's wall clock).  The event core then serves that
+    slice too, untimed, so the row records whether the two engines
+    agree byte for byte on what was timed.
     """
-    reference_requests = min(reference_requests, requests)
-    trace = synthetic_trace(requests, rate_qps=rate_qps, seed=seed)
-
-    def make(cls):
-        ctx = ExecutionContext.create(model, engine, gpu)
-        return cls(ctx=ctx, num_layers=num_layers, seed=seed)
-
-    event_core = _timed_run(make(ServingEngine), trace)
-    reference = _timed_run(make(ReferenceEngine),
-                           trace[:reference_requests])
+    sliced = trace[:reference_requests]
+    event_core, _ = _timed_run(make(ServingEngine, page_size), trace)
+    reference, reference_json = _timed_run(
+        make(ReferenceEngine, page_size), sliced)
+    core_json = _report_json(make(ServingEngine, page_size).run(
+        sliced, max_steps=MAX_STEPS))
     speedup = {
         "requests_per_s": (event_core["requests_per_s"]
                            / reference["requests_per_s"]
@@ -124,6 +134,36 @@ def run_benchmark(requests: int = DEFAULT_REQUESTS,
                         / reference["steps_per_s"]
                         if reference["steps_per_s"] else 0.0),
     }
+    return {"event_core": event_core, "reference_loop": reference,
+            "speedup": speedup,
+            "reports_match": core_json == reference_json}
+
+
+def run_benchmark(requests: int = DEFAULT_REQUESTS,
+                  reference_requests: int = DEFAULT_REFERENCE_REQUESTS,
+                  model: str = "mixtral-8x7b", engine: str = "samoyeds",
+                  gpu: str = "a100", num_layers: int = 1,
+                  rate_qps: float = DEFAULT_RATE_QPS,
+                  seed: int = DEFAULT_SEED) -> dict[str, object]:
+    """Run the two-sided benchmark, reserved and paged, and return the
+    payload.
+
+    Requests/sec compare like for like: simulated requests over wall
+    seconds on the same machine.  The reserved row sits at the top
+    level (``event_core``, ``reference_loop``, ``speedup``,
+    ``reports_match``); the paged row repeats those keys under
+    ``paged``.
+    """
+    reference_requests = min(reference_requests, requests)
+    trace = synthetic_trace(requests, rate_qps=rate_qps, seed=seed)
+
+    def make(cls, page_size):
+        ctx = ExecutionContext.create(model, engine, gpu)
+        return cls(ctx=ctx, num_layers=num_layers, seed=seed,
+                   page_size=page_size)
+
+    reserved = _row(make, None, trace, reference_requests)
+    paged = _row(make, PAGED_PAGE_SIZE, trace, reference_requests)
     return {
         "version": BENCH_VERSION,
         # Informational only: trajectory comparisons across machines
@@ -135,10 +175,10 @@ def run_benchmark(requests: int = DEFAULT_REQUESTS,
             "num_layers": num_layers, "requests": requests,
             "reference_requests": reference_requests,
             "rate_qps": rate_qps, "seed": seed,
+            "paged_page_size": PAGED_PAGE_SIZE,
         },
-        "event_core": event_core,
-        "reference_loop": reference,
-        "speedup": speedup,
+        **reserved,
+        "paged": paged,
     }
 
 
@@ -146,23 +186,46 @@ def check_regression(payload: dict[str, object], baseline_path: "str | Path",
                      tolerance: float = 0.30) -> "str | None":
     """Compare a benchmark payload against the checked-in baseline.
 
-    Returns ``None`` when within tolerance, else a human-readable
-    failure message.  The gate is the requests/sec *speedup ratio*:
-    ``measured >= baseline * (1 - tolerance)``.
+    Returns ``None`` when every row passes, else a human-readable
+    failure message.  Each row's gate is its requests/sec *speedup
+    ratio*: ``measured >= baseline * (1 - tolerance)``, against
+    ``speedup_requests_per_s`` (reserved row) and, when the baseline
+    records it, ``paged_speedup_requests_per_s`` (``paged`` row).  A
+    row whose event core reported differently from the reference loop
+    on the reference slice fails regardless of its speed.
     """
     path = Path(baseline_path)
     try:
         baseline = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read baseline {path}: {exc}") from exc
-    expected = baseline.get("speedup_requests_per_s")
-    if not isinstance(expected, (int, float)) or expected <= 0:
-        raise ConfigError(
-            f"baseline {path} lacks a positive speedup_requests_per_s")
-    measured = payload["speedup"]["requests_per_s"]  # type: ignore[index]
-    floor = expected * (1.0 - tolerance)
-    if measured < floor:
-        return (f"sim-throughput regression: speedup {measured:.2f}x "
+
+    def ratio(key: str) -> float:
+        value = baseline.get(key)
+        if not isinstance(value, (int, float)) or value <= 0:
+            raise ConfigError(f"baseline {path} lacks a positive {key}")
+        return value
+
+    paged_key = "paged_speedup_requests_per_s"
+    # A baseline that predates the paged row leaves its ratio ungated.
+    rows = (("sim-throughput", payload, ratio("speedup_requests_per_s")),
+            ("paged sim-throughput", payload.get("paged"),
+             ratio(paged_key) if paged_key in baseline else None))
+    failures = []
+    for label, row, expected in rows:
+        if row is None:
+            continue
+        if row.get("reports_match") is False:
+            failures.append(
+                f"{label}: the event core's report differs from the "
+                f"reference loop's on the reference slice")
+        if expected is None:
+            continue
+        measured = row["speedup"]["requests_per_s"]
+        floor = expected * (1.0 - tolerance)
+        if measured < floor:
+            failures.append(
+                f"{label} regression: speedup {measured:.2f}x "
                 f"fell below {floor:.2f}x "
                 f"({expected:.2f}x baseline - {tolerance:.0%} tolerance)")
-    return None
+    return "; ".join(failures) or None

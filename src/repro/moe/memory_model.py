@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import CapacityError, ConfigError
+from repro.errors import CapacityError, ConfigError, InternalError
 from repro.hw.interconnect import ParallelPlan
 from repro.hw.spec import GPUSpec
 from repro.moe.config import MoEModelConfig
@@ -541,6 +541,11 @@ class BlockAllocator(MemoryLedger):
     def used_blocks(self) -> int:
         return sum(self._blocks.values())
 
+    def block_counts(self) -> dict[int, int]:
+        """Blocks held per resident request id, in ledger (admission)
+        order — the order :attr:`reserved_bytes` sums in."""
+        return dict(self._blocks)
+
     @property
     def reserved_bytes(self) -> float:
         return self.static_bytes + sum(self.block_bytes(blocks)
@@ -621,6 +626,29 @@ class BlockAllocator(MemoryLedger):
                     required_bytes=int(delta_bytes),
                     available_bytes=int(max(self.free_bytes, 0)))
             self._blocks[request_id] = needed
+        self._context[request_id] = context
+
+    def install_growth(self, request_id: int, new_tokens: int,
+                       blocks: int) -> None:
+        """Advance the context by ``new_tokens`` onto ``blocks`` blocks
+        the caller has already verified fit, skipping :meth:`grow`'s
+        capacity check.
+
+        For a caller that replayed that check at every block boundary,
+        one token at a time and in the order the growth happened:
+        re-checking the summed growth in one call, in another order,
+        could land a few ulps from those checks and raise where they
+        passed.  ``blocks`` must be what :meth:`grow` would hold.
+        """
+        self._require(request_id)
+        context = self._context[request_id] + new_tokens
+        if blocks != max(self._blocks[request_id],
+                         self.blocks_for(context)):
+            raise InternalError(
+                f"request {request_id}: {blocks} blocks installed for "
+                f"a {context}-token context holding "
+                f"{self._blocks[request_id]}")
+        self._blocks[request_id] = blocks
         self._context[request_id] = context
 
     def release(self, request_id: int) -> None:

@@ -91,6 +91,7 @@ from repro.registry.selector import AutoEngine
 from repro.serve.batcher import (
     ActiveRequest,
     Batcher,
+    ChunkedPrefillBatcher,
     ContinuousBatcher,
     StepPlan,
     arrival_order,
@@ -599,18 +600,24 @@ class ServingEngine:
         # — the general path's outcome is fully determined, and runs of
         # such steps reduce to the pricing arithmetic plus a metrics
         # sample.  Restricted to the configurations where that proof
-        # holds: one pool, plain continuous batching (the plan is
-        # exactly ``decode=tuple(running)``), conservative admission
-        # (growth never fails, so no preemption), a fixed single-device
-        # engine and a deterministic pricer (no RNG draw per step).
+        # holds: one pool, continuous or chunked batching (with nothing
+        # waiting and every resident prefilled, both plan exactly
+        # ``decode=tuple(running)``), a fixed single-device engine and
+        # a deterministic pricer (no RNG draw per step).  Conservative
+        # admission never fails a growth; paged growth is deterministic
+        # up to each resident's next block boundary, where the run
+        # replays the allocator's capacity check and stops before the
+        # first step whose allocation would fail (the general path
+        # then preempts).
         fast_eligible = (sole is not None
-                         and type(sole.batcher) is ContinuousBatcher
-                         and self.page_size is None
+                         and type(sole.batcher) in (ContinuousBatcher,
+                                                    ChunkedPrefillBatcher)
                          and sole.cluster is None
                          and not sole.pricer.stochastic
                          and not isinstance(sole.ctx.engine, AutoEngine)
                          and not self._sanitize
-                         and type(sole.ledger) is KVCacheTracker)
+                         and type(sole.ledger) in (KVCacheTracker,
+                                                   BlockAllocator))
 
         def fast_decode_run() -> bool:
             """Commit a run of provably uneventful pure-decode steps.
@@ -620,13 +627,19 @@ class ServingEngine:
             composition as :meth:`StepPricer._price` for a decode-only
             plan, the same ``max(clock, clock + step_s)`` clock update,
             the same per-step sample values (``live_bytes`` summed over
-            the same per-request KV lengths in ledger order).  Only the
-            work whose outcome is already known is skipped — planning,
-            per-token ledger growth (bulk-applied afterwards), the
-            preemption machinery and the finish scan.  Stops *before*
-            any step boundary where an event could be due, leaving that
-            step to the general path.  Returns True when at least one
-            step was committed.
+            the same per-request KV lengths in ledger order).  On a
+            paged ledger a step where residents cross a block boundary
+            first replays :meth:`BlockAllocator.grow`'s capacity check
+            for each of them, oldest arrival first, with the same float
+            expressions; its sample carries the new ``reserved_bytes``
+            and utilisation.  Only the work whose outcome is already
+            known is skipped — planning, per-token ledger growth
+            (bulk-applied afterwards, installing the verified block
+            counts), the preemption machinery and the finish scan.
+            Stops *before* any step boundary where an event could be
+            due or a block allocation would fail, leaving that step to
+            the general path.  Returns True when at least one step was
+            committed.
             """
             nonlocal steps
             running, ledger = sole.running, sole.ledger
@@ -651,6 +664,22 @@ class ServingEngine:
             reserved_bytes = ledger.reserved_bytes
             util = ledger.pool_utilisation
             residents = ledger.active_requests
+            # Paged: the run step (1-based) at which each resident next
+            # needs a block, and the earliest of them.  A reserved-KV
+            # run never crosses, so its loop below runs one segment.
+            paged = type(ledger) is BlockAllocator
+            if paged:
+                page_size = ledger.page_size
+                block_bytes = ledger.block_bytes
+                budget_bytes = ledger.budget_bytes
+                pool_bytes = budget_bytes - static_bytes
+                blocks = ledger.block_counts()
+                crossing = {ar.request.rid: blocks[ar.request.rid]
+                            * page_size - ar.context_tokens + 1
+                            for ar in running}
+                next_cross = min(crossing.values())
+            else:
+                next_cross = limit + 1
             # The queue cannot change inside the run (fast steps push
             # no events), so the barrier — the earliest event that
             # could become due at a step boundary — is a constant.
@@ -687,41 +716,84 @@ class ServingEngine:
             clock = manager.clock
             committed = 0
             while committed < limit:
-                if flash:
-                    flops = 2.0 * 2.0 * context_tokens * h
-                    attn = 0.0 + ((proj_s
-                                   + max(flops / ccf, flops / bw))
-                                  + launch_s)
-                else:
-                    attn = 0.0 + pricer._decode_attn(context_tokens,
-                                                     batch)
-                step_s = (attn + moe_s + norm_s) * layers
-                when = clock + step_s
-                if barrier is not None and barrier <= when + CLOCK_EPS:
-                    break          # something is due at this boundary
-                committed += 1
-                steps += 1
-                clock = clock if clock >= when else when
-                busy_s += step_s
-                context_tokens += batch
-                if closed_form:
-                    live_bytes = static_bytes + float(
-                        kv_int_bytes * (total0_tokens
-                                        + committed * batch))
-                else:
-                    live_bytes = static_bytes + sum(
-                        kv_cache_bytes(config, t + committed)
-                        for t in resident_tokens)
-                observe(StepSample(clock, 0, residents, batch,
-                                   live_bytes, reserved_bytes, util,
-                                   0.0, step_s))
+                end = min(limit, next_cross - 1)
+                if end == committed:
+                    # The next step crosses block boundaries: replay
+                    # grow()'s capacity check per crossing resident in
+                    # the general path's order, charging each success
+                    # before the next check.
+                    grown = dict(blocks)
+                    crossers = sorted(
+                        (ar for ar in running
+                         if crossing[ar.request.rid] == next_cross),
+                        key=arrival_order)
+                    for ar in crossers:
+                        held = grown[ar.request.rid]
+                        delta_bytes = (block_bytes(held + 1)
+                                       - block_bytes(held))
+                        free_bytes = budget_bytes - (
+                            static_bytes + sum(block_bytes(b)
+                                               for b in grown.values()))
+                        if delta_bytes > free_bytes:
+                            limit = committed  # the general path preempts
+                            break
+                        grown[ar.request.rid] = held + 1
+                    else:
+                        reserved_bytes = static_bytes + sum(
+                            block_bytes(b) for b in grown.values())
+                        util = (max(0.0, (reserved_bytes - static_bytes)
+                                    / pool_bytes)
+                                if pool_bytes > 0 else 0.0)
+                        end = committed + 1
+                while committed < end:
+                    if flash:
+                        flops = 2.0 * 2.0 * context_tokens * h
+                        attn = 0.0 + ((proj_s
+                                       + max(flops / ccf, flops / bw))
+                                      + launch_s)
+                    else:
+                        attn = 0.0 + pricer._decode_attn(context_tokens,
+                                                         batch)
+                    step_s = (attn + moe_s + norm_s) * layers
+                    when = clock + step_s
+                    if barrier is not None and barrier <= when + CLOCK_EPS:
+                        limit = committed    # something is due here
+                        break
+                    committed += 1
+                    steps += 1
+                    clock = clock if clock >= when else when
+                    busy_s += step_s
+                    context_tokens += batch
+                    if closed_form:
+                        live_bytes = static_bytes + float(
+                            kv_int_bytes * (total0_tokens
+                                            + committed * batch))
+                    else:
+                        live_bytes = static_bytes + sum(
+                            kv_cache_bytes(config, t + committed)
+                            for t in resident_tokens)
+                    observe(StepSample(clock, 0, residents, batch,
+                                       live_bytes, reserved_bytes, util,
+                                       0.0, step_s))
+                if committed == next_cross:
+                    # The crossing step committed: its blocks are live.
+                    blocks = grown
+                    for ar in crossers:
+                        crossing[ar.request.rid] += page_size
+                    next_cross = min(crossing.values())
+                    if util > sole.peak_util:
+                        sole.peak_util = util
             if not committed:
                 return False
             sole.busy_s = busy_s
             manager.clock = clock
             for ar in running:
                 ar.generated += committed
-                ledger.grow(ar.request.rid, committed)
+                if paged:
+                    ledger.install_growth(ar.request.rid, committed,
+                                          blocks[ar.request.rid])
+                else:
+                    ledger.grow(ar.request.rid, committed)
             return True
 
         while True:

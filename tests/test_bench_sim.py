@@ -7,6 +7,7 @@ not the measured numbers.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.bench import simbench
 from repro.bench.cli import main
 from repro.errors import ConfigError
+from repro.serve.engine import ServingEngine
 
 
 class TestSyntheticTrace:
@@ -59,6 +61,19 @@ class TestRunBenchmark:
         assert payload["speedup"]["requests_per_s"] > 0
         json.dumps(payload)           # must be JSON-serialisable
 
+    def test_paged_row_and_report_identity(self):
+        payload = simbench.run_benchmark(requests=30,
+                                         reference_requests=10)
+        paged = payload["paged"]
+        assert payload["workload"]["paged_page_size"] == 16
+        for row in (payload, paged):
+            assert row["reports_match"] is True
+            assert row["speedup"]["requests_per_s"] > 0
+            for side in ("event_core", "reference_loop"):
+                assert row[side]["completed"] == row[side]["requests"]
+        assert paged["event_core"]["requests"] == 30
+        assert paged["reference_loop"]["requests"] == 10
+
     def test_reference_slice_clamped_to_trace(self):
         payload = simbench.run_benchmark(requests=8,
                                          reference_requests=50)
@@ -81,6 +96,37 @@ class TestCheckRegression:
         failure = simbench.check_regression(self._payload(6.0), baseline)
         assert failure is not None
         assert "regression" in failure
+
+    def test_gates_paged_row(self, tmp_path):
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({
+            "speedup_requests_per_s": 10.0,
+            "paged_speedup_requests_per_s": 5.0}))
+        payload = self._payload(8.0)
+        payload["paged"] = {"speedup": {"requests_per_s": 4.0}}
+        assert simbench.check_regression(payload, baseline) is None
+        payload["paged"] = {"speedup": {"requests_per_s": 3.0}}
+        failure = simbench.check_regression(payload, baseline)
+        assert failure is not None
+        assert failure.startswith("paged sim-throughput regression")
+
+    def test_paged_ratio_ungated_without_baseline_key(self, tmp_path):
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({"speedup_requests_per_s": 10.0}))
+        payload = self._payload(8.0)
+        payload["paged"] = {"speedup": {"requests_per_s": 0.1}}
+        assert simbench.check_regression(payload, baseline) is None
+
+    def test_fails_when_reports_differ(self, tmp_path):
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({"speedup_requests_per_s": 10.0}))
+        payload = self._payload(100.0)
+        payload["paged"] = {"speedup": {"requests_per_s": 100.0},
+                            "reports_match": False}
+        failure = simbench.check_regression(payload, baseline)
+        assert failure is not None
+        assert "paged sim-throughput" in failure
+        assert "differs from the reference loop" in failure
 
     def test_missing_baseline_raises(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -122,3 +168,28 @@ class TestCli:
                    "--check", str(baseline)])
         assert rc == 1
         assert "regression" in capsys.readouterr().err
+
+    def test_sim_check_fails_a_fast_but_wrong_core(self, tmp_path,
+                                                   capsys, monkeypatch):
+        """A core that outruns the reference but reports something else
+        fails ``--check`` on both rows, however loose the ratios."""
+        run = ServingEngine.run
+
+        def wrong(self, trace, max_steps=1_000_000):
+            report = run(self, trace, max_steps)
+            return dataclasses.replace(report, steps=report.steps + 1)
+
+        monkeypatch.setattr(ServingEngine, "run", wrong)
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({
+            "speedup_requests_per_s": 1e-9,
+            "paged_speedup_requests_per_s": 1e-9}))
+        rc = main(["sim", "--requests", "20",
+                   "--reference-requests", "8",
+                   "--output", str(tmp_path / "b.json"),
+                   "--check", str(baseline)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ("repro bench sim: sim-throughput: the event core's "
+                "report differs") in err
+        assert "paged sim-throughput: the event core's report" in err

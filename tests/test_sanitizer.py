@@ -333,7 +333,9 @@ def report_json(engine="samoyeds", parallel=None, batcher="continuous",
     {"batcher": "chunked"},
     {"parallel": "ep=2", "seed": 3},
     {"engine": "auto"},
-], ids=["plain", "paged", "chunked", "distributed", "auto"])
+    {"page_size": 16, "batcher": "chunked"},
+], ids=["plain", "paged", "chunked", "distributed", "auto",
+        "paged-chunked"])
 def test_sanitized_report_byte_identical(kwargs):
     assert report_json(**kwargs) == report_json(sanitize=True, **kwargs)
 

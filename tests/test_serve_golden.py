@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.context import ExecutionContext
+from repro.moe.memory_model import BlockAllocator
 from repro.serve._legacy_loop import ReferenceEngine
 from repro.serve.batcher import ChunkedPrefillBatcher, StaticBatcher
 from repro.serve.engine import ServingEngine
@@ -80,6 +81,26 @@ CASES = {
         trace=dict(num_requests=25, rate_qps=60.0, seed=10),
         ctx=("mixtral-8x7b", "transformers", "a100"), ctx_kw={},
         eng=dict(num_layers=1, seed=37)),
+    # Paged uneventful-decode fast path: runs that cross block
+    # boundaries, the same under chunked prefill, and runs that end at a
+    # failed block allocation (the general path then preempts).
+    "paged-decode": dict(
+        trace=dict(num_requests=12, rate_qps=5.0, seed=1,
+                   prompt_tokens=128, output_tokens=200, jitter=0.5),
+        ctx=("mixtral-8x7b", "samoyeds", "a100"), ctx_kw={},
+        eng=dict(num_layers=1, seed=7, page_size=16)),
+    "paged-chunked-decode": dict(
+        trace=dict(num_requests=12, rate_qps=5.0, seed=2,
+                   prompt_tokens=900, output_tokens=200, jitter=0.5),
+        ctx=("mixtral-8x7b", "samoyeds", "a100"), ctx_kw={},
+        eng=dict(num_layers=1, seed=7, page_size=16,
+                 batcher_factory=lambda: ChunkedPrefillBatcher(
+                     token_budget=512))),
+    "paged-alloc-stop": dict(
+        trace=dict(num_requests=8, rate_qps=200.0, seed=2,
+                   prompt_tokens=2000, output_tokens=1000, jitter=0.2),
+        ctx=("mixtral-8x7b", "vllm-ds", "rtx4070s"), ctx_kw={},
+        eng=dict(num_layers=1, seed=7, page_size=16)),
 }
 
 
@@ -105,3 +126,24 @@ def test_fast_path_decode_run_is_byte_identical():
     eng = dict(num_layers=1, seed=7)
     assert (_run(ServingEngine, args, {}, eng, trace)
             == _run(ReferenceEngine, args, {}, eng, trace))
+
+
+def test_paged_decode_takes_the_fast_path(monkeypatch):
+    """The ``paged-decode`` case really runs paged decode through the
+    fast path: only its bulk update installs growth, a whole run of
+    decode tokens per call (the general path grows one token at a
+    time through ``grow``)."""
+    bulk = []
+    install = BlockAllocator.install_growth
+
+    def spy(self, request_id, new_tokens, blocks):
+        bulk.append(new_tokens)
+        install(self, request_id, new_tokens, blocks)
+
+    monkeypatch.setattr(BlockAllocator, "install_growth", spy)
+    case = CASES["paged-decode"]
+    # Sanitized runs forgo the fast path, so pin the plain engine even
+    # when REPRO_SANITIZE is set.
+    _run(ServingEngine, case["ctx"], case["ctx_kw"],
+         dict(case["eng"], sanitize=False), poisson_trace(**case["trace"]))
+    assert max(bulk, default=0) > 1
