@@ -20,7 +20,7 @@ Subcommands:
   (single run or ``sweep:`` grid; see :mod:`repro.api`);
 * ``sim [--quick] [--check baseline.json]`` — benchmark the simulator
   itself: replay a synthetic trace through the event-calendar core and
-  the frozen pre-calendar loop, reserved and paged, emit
+  the frozen pre-calendar loop, reserved, paged and ``auto``, emit
   ``BENCH_sim.json`` with simulated-requests/sec, steps/sec and the
   speedups, optionally gating on checked-in baseline ratios and on the
   two engines' reports agreeing (see :mod:`repro.bench.simbench`);
@@ -628,7 +628,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
         model=args.model, engine=engine, gpu=args.gpu,
         num_layers=args.layers, seed=args.seed)
     rows = []
-    for label, row in (("reserved", payload), ("paged", payload["paged"])):
+    for label, row in (("reserved", payload), ("paged", payload["paged"]),
+                       ("auto", payload["auto"])):
         for core, key in (("event-calendar", "event_core"),
                           ("reference-loop", "reference_loop")):
             stats = row[key]
@@ -637,12 +638,14 @@ def cmd_sim(args: argparse.Namespace) -> int:
                          f"{stats['requests_per_s']:.0f}",
                          f"{stats['steps_per_s']:.0f}"])
     print(render_table(
-        ["kv", "core", "requests", "steps", "wall s", "req/s", "steps/s"],
+        ["row", "core", "requests", "steps", "wall s", "req/s", "steps/s"],
         rows,
         title=f"simulator throughput (speedup "
               f"{payload['speedup']['requests_per_s']:.1f}x reserved, "
               f"{payload['paged']['speedup']['requests_per_s']:.1f}x "
-              f"paged)"),
+              f"paged, "
+              f"{payload['auto']['speedup']['requests_per_s']:.1f}x "
+              f"auto)"),
         file=sys.stderr)
     text = render_json(payload)
     with open(args.output, "w", encoding="utf-8") as fh:

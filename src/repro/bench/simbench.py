@@ -10,9 +10,10 @@ frozen pre-calendar loop
 speedup of the calendar core over the reference — the speed
 trajectory later PRs answer to.
 
-Two rows are measured on the same trace: reserved (conservative
-whole-request KV reservation) at the top level of the payload, and
-paged (``page_size=16`` block allocation) under ``paged``.  Each row
+Three rows are measured on the same trace: reserved (conservative
+whole-request KV reservation) at the top level of the payload, paged
+(``page_size=16`` block allocation) under ``paged``, and ``auto``
+(cost-driven engine dispatch, reserved KV) under ``auto``.  Each row
 also serves the reference slice through the event core, untimed, and
 records whether its report JSON equals the reference loop's.
 
@@ -56,6 +57,9 @@ DEFAULT_SEED = 7
 
 #: KV page size (tokens) of the paged row.
 PAGED_PAGE_SIZE = 16
+
+#: Engine of the ``auto`` row (reserved KV).
+AUTO_ENGINE_NAME = "auto"
 
 #: Step allowance for the replay: the decode-heavy workload takes a
 #: few dozen steps per request, far past ``ServingEngine.run``'s
@@ -109,7 +113,7 @@ def _timed_run(engine, trace) -> tuple[dict[str, object], str]:
     return result, _report_json(report)
 
 
-def _row(make, page_size: int | None, trace: list[Request],
+def _row(make, trace: list[Request],
          reference_requests: int) -> dict[str, object]:
     """One benchmark row: both engines timed, plus report identity.
 
@@ -118,13 +122,13 @@ def _row(make, page_size: int | None, trace: list[Request],
     per-request cost is what the calendar removed, so a slice bounds
     the benchmark's wall clock).  The event core then serves that
     slice too, untimed, so the row records whether the two engines
-    agree byte for byte on what was timed.
+    agree byte for byte on what was timed.  ``make(cls)`` builds the
+    row's engine of class ``cls``.
     """
     sliced = trace[:reference_requests]
-    event_core, _ = _timed_run(make(ServingEngine, page_size), trace)
-    reference, reference_json = _timed_run(
-        make(ReferenceEngine, page_size), sliced)
-    core_json = _report_json(make(ServingEngine, page_size).run(
+    event_core, _ = _timed_run(make(ServingEngine), trace)
+    reference, reference_json = _timed_run(make(ReferenceEngine), sliced)
+    core_json = _report_json(make(ServingEngine).run(
         sliced, max_steps=MAX_STEPS))
     speedup = {
         "requests_per_s": (event_core["requests_per_s"]
@@ -145,25 +149,29 @@ def run_benchmark(requests: int = DEFAULT_REQUESTS,
                   gpu: str = "a100", num_layers: int = 1,
                   rate_qps: float = DEFAULT_RATE_QPS,
                   seed: int = DEFAULT_SEED) -> dict[str, object]:
-    """Run the two-sided benchmark, reserved and paged, and return the
-    payload.
+    """Run the two-sided benchmark — reserved, paged and ``auto`` — and
+    return the payload.
 
     Requests/sec compare like for like: simulated requests over wall
     seconds on the same machine.  The reserved row sits at the top
     level (``event_core``, ``reference_loop``, ``speedup``,
-    ``reports_match``); the paged row repeats those keys under
-    ``paged``.
+    ``reports_match``); the paged and ``auto`` rows repeat those keys
+    under ``paged`` and ``auto``.
     """
     reference_requests = min(reference_requests, requests)
     trace = synthetic_trace(requests, rate_qps=rate_qps, seed=seed)
 
-    def make(cls, page_size):
-        ctx = ExecutionContext.create(model, engine, gpu)
-        return cls(ctx=ctx, num_layers=num_layers, seed=seed,
-                   page_size=page_size)
+    def make(engine_name: str = engine, page_size: int | None = None):
+        def build(cls):
+            ctx = ExecutionContext.create(model, engine_name, gpu)
+            return cls(ctx=ctx, num_layers=num_layers, seed=seed,
+                       page_size=page_size)
+        return build
 
-    reserved = _row(make, None, trace, reference_requests)
-    paged = _row(make, PAGED_PAGE_SIZE, trace, reference_requests)
+    reserved = _row(make(), trace, reference_requests)
+    paged = _row(make(page_size=PAGED_PAGE_SIZE), trace,
+                 reference_requests)
+    auto = _row(make(AUTO_ENGINE_NAME), trace, reference_requests)
     return {
         "version": BENCH_VERSION,
         # Informational only: trajectory comparisons across machines
@@ -176,9 +184,11 @@ def run_benchmark(requests: int = DEFAULT_REQUESTS,
             "reference_requests": reference_requests,
             "rate_qps": rate_qps, "seed": seed,
             "paged_page_size": PAGED_PAGE_SIZE,
+            "auto_engine": AUTO_ENGINE_NAME,
         },
         **reserved,
         "paged": paged,
+        "auto": auto,
     }
 
 
@@ -190,9 +200,10 @@ def check_regression(payload: dict[str, object], baseline_path: "str | Path",
     failure message.  Each row's gate is its requests/sec *speedup
     ratio*: ``measured >= baseline * (1 - tolerance)``, against
     ``speedup_requests_per_s`` (reserved row) and, when the baseline
-    records it, ``paged_speedup_requests_per_s`` (``paged`` row).  A
-    row whose event core reported differently from the reference loop
-    on the reference slice fails regardless of its speed.
+    records them, ``paged_speedup_requests_per_s`` (``paged`` row) and
+    ``auto_speedup_requests_per_s`` (``auto`` row).  A row whose event
+    core reported differently from the reference loop on the reference
+    slice fails regardless of its speed.
     """
     path = Path(baseline_path)
     try:
@@ -206,11 +217,12 @@ def check_regression(payload: dict[str, object], baseline_path: "str | Path",
             raise ConfigError(f"baseline {path} lacks a positive {key}")
         return value
 
-    paged_key = "paged_speedup_requests_per_s"
-    # A baseline that predates the paged row leaves its ratio ungated.
-    rows = (("sim-throughput", payload, ratio("speedup_requests_per_s")),
-            ("paged sim-throughput", payload.get("paged"),
-             ratio(paged_key) if paged_key in baseline else None))
+    # A baseline that predates a row leaves its ratio ungated.
+    rows = [("sim-throughput", payload, ratio("speedup_requests_per_s"))]
+    for name in ("paged", "auto"):
+        key = f"{name}_speedup_requests_per_s"
+        rows.append((f"{name} sim-throughput", payload.get(name),
+                     ratio(key) if key in baseline else None))
     failures = []
     for label, row, expected in rows:
         if row is None:

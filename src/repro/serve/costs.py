@@ -107,6 +107,7 @@ class StepPricer:
         self._segments: dict[int, dict[int, float]] = {}
         self._steps: dict[tuple, tuple[float, float, str | None]] = {}
         self._winners: dict[tuple, str] = {}
+        self._step_keys: dict[tuple[str, int], str] = {}
 
     # ------------------------------------------------------------------
     # Whole-step pricing
@@ -327,15 +328,22 @@ class StepPricer:
         return name
 
     def _step_key(self, tokens: int, phase: str) -> str:
+        """The ``step:`` table key of a ``phase`` step of ``tokens``
+        new tokens, memoised per (phase, tokens): building it walks
+        every candidate engine's capabilities for the density."""
+        key = self._step_keys.get((phase, tokens))
+        if key is not None:
+            return key
         engine = self.ctx.engine
         if not isinstance(engine, AutoEngine):
             raise InternalError(
                 "selection-table key requested on a non-auto engine "
                 f"({type(engine).__name__})")
-        return SelectionTable.step_key(
+        key = self._step_keys[(phase, tokens)] = SelectionTable.step_key(
             self.ctx.spec.name, phase,
             engine._problem_key(self.ctx.config, tokens, None),
             engine.density)
+        return key
 
     def _record_step(self, plan: "StepPlan", step_s: float,
                      winner: str) -> None:

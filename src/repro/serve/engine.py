@@ -593,56 +593,69 @@ class ServingEngine:
             manager.on(EventKind.KV_TRANSFER, migrator.on_transfer)
 
         # -- uneventful-decode fast path --------------------------------
-        # The discrete-event payoff: when the calendar can prove the
-        # next step is a pure decode step whose completion dispatches
-        # nothing — no arrival inside the epsilon window, no horizon,
+        # The discrete-event payoff: when the calendar can prove a
+        # pool's next step is a pure decode step whose completion
+        # dispatches nothing — no event due inside the epsilon window,
         # nobody reaching their output length, nothing waiting to admit
         # — the general path's outcome is fully determined, and runs of
         # such steps reduce to the pricing arithmetic plus a metrics
-        # sample.  Restricted to the configurations where that proof
-        # holds: one pool, continuous or chunked batching (with nothing
-        # waiting and every resident prefilled, both plan exactly
-        # ``decode=tuple(running)``), a fixed single-device engine and
-        # a deterministic pricer (no RNG draw per step).  Conservative
-        # admission never fails a growth; paged growth is deterministic
-        # up to each resident's next block boundary, where the run
-        # replays the allocator's capacity check and stops before the
-        # first step whose allocation would fail (the general path
-        # then preempts).
-        fast_eligible = (sole is not None
-                         and type(sole.batcher) in (ContinuousBatcher,
-                                                    ChunkedPrefillBatcher)
-                         and sole.cluster is None
-                         and not sole.pricer.stochastic
-                         and not isinstance(sole.ctx.engine, AutoEngine)
-                         and not self._sanitize
-                         and type(sole.ledger) in (KVCacheTracker,
-                                                   BlockAllocator))
+        # sample.  The proof holds one pool at a time, for the pools
+        # below: continuous or chunked batching (with nothing waiting
+        # and every resident prefilled, both plan exactly
+        # ``decode=tuple(running)``), a single-device ledger and a
+        # deterministic pricer (no RNG draw per step).  An ``auto``
+        # pool qualifies too: the run's batch is constant, so its
+        # memoised MoE price and winner hold for the whole run.
+        # Conservative admission never fails a growth; paged growth is
+        # deterministic up to each resident's next block boundary,
+        # where the run replays the allocator's capacity check and
+        # stops before the first step whose allocation would fail (the
+        # general path then preempts).  Sanitized runs keep every step
+        # on the general path.
+        fast_pools = set() if self._sanitize else {
+            st for st in pools
+            if type(st.batcher) in (ContinuousBatcher,
+                                    ChunkedPrefillBatcher)
+            and st.cluster is None
+            and not st.pricer.stochastic
+            and type(st.ledger) in (KVCacheTracker, BlockAllocator)}
 
-        def fast_decode_run() -> bool:
-            """Commit a run of provably uneventful pure-decode steps.
+        def fast_decode_run(st: _Pool) -> bool:
+            """Commit a run of ``st``'s provably uneventful pure-decode
+            steps.
+
+            The caller guarantees that the general path would plan
+            ``st`` and only ``st`` next: it is idle with nothing
+            waiting, every other pool has a step in flight (its
+            completion is on the calendar) or no work, and no
+            migration is blocked.  Events — other pools'
+            ``StepComplete``, ``KVTransfer`` landings, arrivals, the
+            horizon — are all on the calendar, and fast steps push
+            none, so the earliest of them is a constant barrier: no
+            event can fire between two of ``st``'s steps before it.
 
             Every committed step replays, float op for float op, what
             the general path would have done: the same pricing
             composition as :meth:`StepPricer._price` for a decode-only
             plan, the same ``max(clock, clock + step_s)`` clock update,
             the same per-step sample values (``live_bytes`` summed over
-            the same per-request KV lengths in ledger order).  On a
-            paged ledger a step where residents cross a block boundary
-            first replays :meth:`BlockAllocator.grow`'s capacity check
-            for each of them, oldest arrival first, with the same float
-            expressions; its sample carries the new ``reserved_bytes``
-            and utilisation.  Only the work whose outcome is already
-            known is skipped — planning, per-token ledger growth
-            (bulk-applied afterwards, installing the verified block
-            counts), the preemption machinery and the finish scan.
-            Stops *before* any step boundary where an event could be
-            due or a block allocation would fail, leaving that step to
-            the general path.  Returns True when at least one step was
-            committed.
+            the same per-request KV lengths in ledger order), the same
+            ``pools``/``auto`` step tallies and ``step:`` table record.
+            On a paged ledger a step where residents cross a block
+            boundary first replays :meth:`BlockAllocator.grow`'s
+            capacity check for each of them, oldest arrival first, with
+            the same float expressions; its sample carries the new
+            ``reserved_bytes`` and utilisation.  Only the work whose
+            outcome is already known is skipped — planning, per-token
+            ledger growth (bulk-applied afterwards, installing the
+            verified block counts), the preemption machinery and the
+            finish scan.  Stops *before* any step boundary where an
+            event could be due or a block allocation would fail,
+            leaving that step to the general path.  Returns True when
+            at least one step was committed.
             """
             nonlocal steps
-            running, ledger = sole.running, sole.ledger
+            running = st.running
             if not running or not all(ar.prefilled for ar in running):
                 return False
             # The step in which the earliest finisher reaches its
@@ -652,18 +665,49 @@ class ServingEngine:
             limit = min(limit, max_steps - steps)
             if limit <= 0:
                 return False
-            pricer = sole.pricer
+            pricer = st.pricer
             batch = len(running)
             context_tokens = sum(ar.context_tokens for ar in running)
+            layers = self._layers
+            config, spec = st.ctx.config, st.ctx.spec
+            # Inline the flash decode-attention arithmetic (the same
+            # float ops as decode_attention_cost, minus the call and
+            # the AttentionCost object); the rare flash=False context
+            # keeps the function call.
+            flash = st.ctx.flash
+            if flash:
+                proj_s = pricer.decode_proj(batch)
+                h = config.hidden_size
+                ccf = spec.cuda_core_flops
+                bw = spec.dram_bandwidth
+                launch_s = spec.kernel_launch_overhead_s
+                flops = 2.0 * 2.0 * context_tokens * h
+                attn = 0.0 + ((proj_s + max(flops / ccf, flops / bw))
+                              + launch_s)
+            else:
+                attn = 0.0 + pricer._decode_attn(context_tokens, batch)
+            # The rest of the first step's price, in the order of
+            # :meth:`StepPricer._price`; refuse before any ledger query
+            # when an event is due within it (the common refusal under
+            # multi-pool load).
             moe_s = pricer._moe_seconds(batch)
             norm_s = pricer._norm_seconds(batch)
-            layers = self._layers
-            config, spec = sole.ctx.config, sole.ctx.spec
+            step_s = first_step_s = (attn + moe_s + norm_s) * layers
+            clock = manager.clock
+            head = queue.peek()
+            barrier = head.when if head is not None else None
+            if barrier is not None and barrier <= clock + step_s + CLOCK_EPS:
+                return False
+            ledger = st.ledger
+            residents = ledger.active_requests
+            if residents != batch:
+                # A transfer into ``st`` is charged on its ledger but
+                # does not grow until it lands.
+                return False
             static_bytes = ledger.static_bytes
             resident_tokens = ledger.kv_tokens()
             reserved_bytes = ledger.reserved_bytes
-            util = ledger.pool_utilisation
-            residents = ledger.active_requests
+            util = util0 = ledger.pool_utilisation
             # Paged: the run step (1-based) at which each resident next
             # needs a block, and the earliest of them.  A reserved-KV
             # run never crosses, so its loop below runs one segment.
@@ -680,11 +724,6 @@ class ServingEngine:
                 next_cross = min(crossing.values())
             else:
                 next_cross = limit + 1
-            # The queue cannot change inside the run (fast steps push
-            # no events), so the barrier — the earliest event that
-            # could become due at a step boundary — is a constant.
-            head = queue.peek()
-            barrier = head.when if head is not None else None
             # ``live_bytes`` closed form: the per-token KV charge is an
             # integer number of bytes for every registry model, so
             # per-request growth sums collapse to exact integer
@@ -700,20 +739,8 @@ class ServingEngine:
                 + float(kv_int_bytes * (total0_tokens + batch))
                 == static_bytes + sum(kv_cache_bytes(config, t + 1)
                                       for t in resident_tokens))
-            # Inline the flash decode-attention arithmetic (the same
-            # float ops as decode_attention_cost, minus the call and
-            # the AttentionCost object); the rare flash=False context
-            # keeps the function call.
-            flash = sole.ctx.flash
-            if flash:
-                proj_s = pricer.decode_proj(batch)
-                h = config.hidden_size
-                ccf = spec.cuda_core_flops
-                bw = spec.dram_bandwidth
-                launch_s = spec.kernel_launch_overhead_s
             observe = collector.samples.append
-            busy_s = sole.busy_s
-            clock = manager.clock
+            busy_s = st.busy_s
             committed = 0
             while committed < limit:
                 end = min(limit, next_cross - 1)
@@ -746,15 +773,6 @@ class ServingEngine:
                                 if pool_bytes > 0 else 0.0)
                         end = committed + 1
                 while committed < end:
-                    if flash:
-                        flops = 2.0 * 2.0 * context_tokens * h
-                        attn = 0.0 + ((proj_s
-                                       + max(flops / ccf, flops / bw))
-                                      + launch_s)
-                    else:
-                        attn = 0.0 + pricer._decode_attn(context_tokens,
-                                                         batch)
-                    step_s = (attn + moe_s + norm_s) * layers
                     when = clock + step_s
                     if barrier is not None and barrier <= when + CLOCK_EPS:
                         limit = committed    # something is due here
@@ -775,17 +793,39 @@ class ServingEngine:
                     observe(StepSample(clock, 0, residents, batch,
                                        live_bytes, reserved_bytes, util,
                                        0.0, step_s))
+                    # Price the next step (as the first, above).
+                    if flash:
+                        flops = 2.0 * 2.0 * context_tokens * h
+                        attn = 0.0 + ((proj_s
+                                       + max(flops / ccf, flops / bw))
+                                      + launch_s)
+                    else:
+                        attn = 0.0 + pricer._decode_attn(context_tokens,
+                                                         batch)
+                    step_s = (attn + moe_s + norm_s) * layers
                 if committed == next_cross:
                     # The crossing step committed: its blocks are live.
                     blocks = grown
                     for ar in crossers:
                         crossing[ar.request.rid] += page_size
                     next_cross = min(crossing.values())
-                    if util > sole.peak_util:
-                        sole.peak_util = util
+                    if util > st.peak_util:
+                        st.peak_util = util
             if not committed:
                 return False
-            sole.busy_s = busy_s
+            # The run's first sample may be the first to see a
+            # utilisation an inbound transfer's admission set.
+            if util0 > st.peak_util:
+                st.peak_util = util0
+            st.busy_s = busy_s
+            st.steps += committed
+            if pricer._auto:
+                # One memoised winner for the whole (constant) batch.
+                winner = pricer._winner(batch, "decode")
+                pricer._record_step(StepPlan(decode=tuple(running)),
+                                    first_step_s, winner)
+                counts = auto_counts.setdefault("decode", {})
+                counts[winner] = counts.get(winner, 0) + committed
             manager.clock = clock
             for ar in running:
                 ar.generated += committed
@@ -814,14 +854,17 @@ class ServingEngine:
                     or any(st.waiting or st.running for st in pools)
                     or (migrator is not None and migrator.pending)):
                 break                  # trace fully served
-            if (fast_eligible and not busy and not sole.waiting
-                    and fast_decode_run()):
+            # Pools the general path would plan now, in name order.
+            idle = [st for st in sched if st.index not in in_flight
+                    and (st.waiting or st.running)]
+            if (len(idle) == 1 and idle[0] in fast_pools
+                    and not idle[0].waiting
+                    and not (migrator is not None and migrator.pending)
+                    and fast_decode_run(idle[0])):
                 continue
             planned = False
-            for st in sched:
+            for st in idle:
                 waiting = st.waiting
-                if st.index in in_flight or not (waiting or st.running):
-                    continue
                 if policy.reorders_queue and len(waiting) > 1:
                     # Stable sort: FCFS within a priority class survives.
                     ordered = sorted(

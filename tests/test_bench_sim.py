@@ -74,6 +74,18 @@ class TestRunBenchmark:
         assert paged["event_core"]["requests"] == 30
         assert paged["reference_loop"]["requests"] == 10
 
+    def test_auto_row_and_report_identity(self):
+        payload = simbench.run_benchmark(requests=30,
+                                         reference_requests=10)
+        auto = payload["auto"]
+        assert payload["workload"]["auto_engine"] == "auto"
+        assert auto["reports_match"] is True
+        assert auto["speedup"]["requests_per_s"] > 0
+        for side in ("event_core", "reference_loop"):
+            assert auto[side]["completed"] == auto[side]["requests"]
+        assert auto["event_core"]["requests"] == 30
+        assert auto["reference_loop"]["requests"] == 10
+
     def test_reference_slice_clamped_to_trace(self):
         payload = simbench.run_benchmark(requests=8,
                                          reference_requests=50)
@@ -109,6 +121,19 @@ class TestCheckRegression:
         failure = simbench.check_regression(payload, baseline)
         assert failure is not None
         assert failure.startswith("paged sim-throughput regression")
+
+    def test_gates_auto_row(self, tmp_path):
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({
+            "speedup_requests_per_s": 10.0,
+            "auto_speedup_requests_per_s": 20.0}))
+        payload = self._payload(8.0)
+        payload["auto"] = {"speedup": {"requests_per_s": 15.0}}
+        assert simbench.check_regression(payload, baseline) is None
+        payload["auto"] = {"speedup": {"requests_per_s": 13.0}}
+        failure = simbench.check_regression(payload, baseline)
+        assert failure is not None
+        assert failure.startswith("auto sim-throughput regression")
 
     def test_paged_ratio_ungated_without_baseline_key(self, tmp_path):
         baseline = tmp_path / "base.json"
@@ -172,7 +197,7 @@ class TestCli:
     def test_sim_check_fails_a_fast_but_wrong_core(self, tmp_path,
                                                    capsys, monkeypatch):
         """A core that outruns the reference but reports something else
-        fails ``--check`` on both rows, however loose the ratios."""
+        fails ``--check`` on every row, however loose the ratios."""
         run = ServingEngine.run
 
         def wrong(self, trace, max_steps=1_000_000):
@@ -183,7 +208,8 @@ class TestCli:
         baseline = tmp_path / "base.json"
         baseline.write_text(json.dumps({
             "speedup_requests_per_s": 1e-9,
-            "paged_speedup_requests_per_s": 1e-9}))
+            "paged_speedup_requests_per_s": 1e-9,
+            "auto_speedup_requests_per_s": 1e-9}))
         rc = main(["sim", "--requests", "20",
                    "--reference-requests", "8",
                    "--output", str(tmp_path / "b.json"),
@@ -193,3 +219,4 @@ class TestCli:
         assert ("repro bench sim: sim-throughput: the event core's "
                 "report differs") in err
         assert "paged sim-throughput: the event core's report" in err
+        assert "auto sim-throughput: the event core's report" in err

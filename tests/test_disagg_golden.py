@@ -19,7 +19,9 @@ import sys
 
 import pytest
 
+import repro.serve.engine as serve_engine
 from repro.api import Deployment, load_deployment
+from repro.moe.memory_model import BlockAllocator
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
@@ -117,6 +119,23 @@ CASES = {
                           "token_rate_limit": 4000.0},
                          {"name": "open", "share": 0.5}]},
     },
+    # Long prompts over pcie4 to a fast decode pool: KV transfers
+    # outlast a decode step, so they land while the decode pool
+    # fast-forwards (charged on its ledger, not yet running).
+    "slow_transfer": lambda: {
+        "model": {"name": "mixtral-8x7b", "engine": "samoyeds",
+                  "num_layers": 1},
+        "hardware": {"gpu": "h100"},
+        "serving": {
+            "page_size": 16, "transfer_link": "pcie4",
+            "pools": [
+                {"name": "pf", "role": "prefill"},
+                {"name": "dc", "role": "decode", "engine": "vllm-ds"},
+            ],
+        },
+        "workload": {"requests": 20, "qps": 10.0, "prompt_tokens": 4096,
+                     "output_tokens": 16, "jitter": 0.5, "seed": 4},
+    },
 }
 
 
@@ -138,6 +157,42 @@ def test_report_matches_golden(name, sanitize):
     with open(_golden_path(name), encoding="utf-8") as fh:
         golden = fh.read()
     assert report_json(name, sanitize) == golden
+
+
+@pytest.mark.parametrize("name", ["disagg_prefill", "decode_preempt"])
+def test_decode_pool_takes_the_fast_path(name, monkeypatch):
+    """Multi-pool decode runs through the per-pool fast path: only its
+    bulk update installs growth, a whole run of decode tokens per call
+    (the general path grows one token at a time through ``grow``)."""
+    bulk = []
+    install = BlockAllocator.install_growth
+
+    def spy(self, request_id, new_tokens, blocks):
+        bulk.append(new_tokens)
+        install(self, request_id, new_tokens, blocks)
+
+    monkeypatch.setattr(BlockAllocator, "install_growth", spy)
+    report_json(name)            # plain: sanitized runs skip the fast path
+    assert max(bulk, default=0) > 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fast_path_samples_match_the_general_path(name, monkeypatch):
+    """Every per-step sample of a plain run (per-pool fast path) equals
+    the sanitized run's (general path only): a finer oracle than the
+    report, whose percentiles and peaks can hide a wrong sample."""
+    collectors = []
+
+    class Recording(serve_engine.MetricsCollector):
+        def __init__(self):
+            super().__init__()
+            collectors.append(self)
+
+    monkeypatch.setattr(serve_engine, "MetricsCollector", Recording)
+    report_json(name)
+    report_json(name, sanitize=True)
+    plain, sanitized = collectors
+    assert plain.samples == sanitized.samples
 
 
 if __name__ == "__main__":

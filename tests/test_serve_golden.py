@@ -13,11 +13,13 @@ change must update the reference snapshot, not relax this test.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.context import ExecutionContext
-from repro.moe.memory_model import BlockAllocator
+from repro.moe.memory_model import BlockAllocator, KVCacheTracker
+from repro.registry import AutoEngine
 from repro.serve._legacy_loop import ReferenceEngine
 from repro.serve.batcher import ChunkedPrefillBatcher, StaticBatcher
 from repro.serve.engine import ServingEngine
@@ -101,7 +103,20 @@ CASES = {
                    prompt_tokens=2000, output_tokens=1000, jitter=0.2),
         ctx=("mixtral-8x7b", "vllm-ds", "rtx4070s"), ctx_kw={},
         eng=dict(num_layers=1, seed=7, page_size=16)),
+    # ``auto`` through the fast path: long constant-batch decode runs,
+    # tallied into the report's ``auto`` section.
+    "auto-decode": dict(
+        trace=dict(num_requests=12, rate_qps=5.0, seed=1,
+                   prompt_tokens=128, output_tokens=200, jitter=0.5),
+        ctx=("mixtral-8x7b", "auto", "a100"), ctx_kw={},
+        eng=dict(num_layers=1, seed=7)),
 }
+
+#: The ``step:`` selection-table entries an ``auto-decode`` run
+#: records, as recorded when every step took the general path (a
+#: sanitized run still does, and reproduces the file).
+AUTO_STEP_ENTRIES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 "golden", "auto_decode_step_entries.json")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -147,3 +162,44 @@ def test_paged_decode_takes_the_fast_path(monkeypatch):
     _run(ServingEngine, case["ctx"], case["ctx_kw"],
          dict(case["eng"], sanitize=False), poisson_trace(**case["trace"]))
     assert max(bulk, default=0) > 1
+
+
+def test_auto_decode_takes_the_fast_path(monkeypatch):
+    """The ``auto-decode`` case runs ``auto`` decode through the fast
+    path — reserved KV grows a whole run of tokens per ``grow`` call —
+    and the report's ``auto`` step tallies still count every step."""
+    bulk = []
+    grow = KVCacheTracker.grow
+
+    def spy(self, request_id, new_tokens=1):
+        bulk.append(new_tokens)
+        grow(self, request_id, new_tokens)
+
+    monkeypatch.setattr(KVCacheTracker, "grow", spy)
+    case = CASES["auto-decode"]
+    engine = ServingEngine(
+        ctx=ExecutionContext.create(*case["ctx"], **case["ctx_kw"]),
+        **dict(case["eng"], sanitize=False))
+    report = engine.run(poisson_trace(**case["trace"]))
+    assert max(bulk, default=0) > 1
+    tallies = report.to_dict()["auto"]["steps"]
+    assert sum(n for counts in tallies.values()
+               for n in counts.values()) == report.steps
+
+
+@pytest.mark.parametrize("sanitize", [False, True],
+                         ids=["plain", "sanitized"])
+def test_auto_decode_records_the_same_step_entries(sanitize):
+    """Fast-forwarded ``auto`` runs leave the selection table's
+    ``step:`` entries — keys, winners and first-step seconds — as the
+    per-step path recorded them."""
+    case = CASES["auto-decode"]
+    auto = AutoEngine()                      # fresh table
+    model, _, gpu = case["ctx"]
+    engine = ServingEngine(ctx=ExecutionContext.create(model, auto, gpu),
+                           **dict(case["eng"], sanitize=sanitize))
+    engine.run(poisson_trace(**case["trace"]))
+    with open(AUTO_STEP_ENTRIES, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert {key: entry for key, entry in auto.table.entries.items()
+            if key.startswith("step:")} == expected
