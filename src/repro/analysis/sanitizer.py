@@ -12,11 +12,14 @@ check, on every operation:
 * **memory ledgers** (:class:`SanitizedLedger` /
   :class:`SanitizedDeviceLedgers`) — block/byte conservation
   (allocated == live + freed, never negative), no double admission,
-  no growth or release of a non-resident request, and all-or-nothing
-  admission/growth across a device grid;
+  no growth or release of a non-resident request, a cached
+  ``reserved_bytes`` equal to a fresh ledger-order sum, and
+  all-or-nothing admission/growth across a device grid;
 * **step pricer** (:class:`SanitizedStepPricer`) — memo purity: a
   sampled step is re-priced through a *fresh* memo-less pricer and
-  must match the memoised answer within :data:`MEMO_TOL`.
+  must match the memoised answer within :data:`MEMO_TOL` (a
+  stochastic step is re-priced from a copy of the RNG state it was
+  drawn with).
 
 Violations raise :class:`~repro.errors.SanitizerError` carrying the
 invariant name and the event/request/step involved, so the failure
@@ -43,6 +46,7 @@ from repro.moe.memory_model import (
 )
 from repro.serve.costs import StepPricer
 from repro.serve.events import Event, EventManager, EventQueue
+from repro.utils.rng import restored_rng
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.serve.batcher import StepPlan
@@ -141,7 +145,11 @@ class SanitizedLedger:
       blocks freed, and never negative; a failed ``grow`` must charge
       nothing;
     * byte sanity: the charged pool (``reserved_bytes`` −
-      ``static_bytes``) is never negative.
+      ``static_bytes``) is never negative;
+    * cached total: ``reserved_bytes`` (cached between charge changes)
+      equals :meth:`~MemoryLedger.sum_reserved_bytes`, the ledger-order
+      sum over the residents, bit for bit — a mutation that forgot to
+      invalidate the cache shows here.
     """
 
     def __init__(self, inner: MemoryLedger) -> None:
@@ -228,7 +236,8 @@ class SanitizedLedger:
                 op=op, request=request_id,
                 ledger=inner.active_requests,
                 expected=len(self._resident))
-        charged_bytes = inner.reserved_bytes - inner.static_bytes
+        reserved_bytes = inner.reserved_bytes
+        charged_bytes = reserved_bytes - inner.static_bytes
         if charged_bytes < -BYTES_TOL:
             raise SanitizerError(
                 "negative charge",
@@ -247,6 +256,15 @@ class SanitizedLedger:
                     op=op, request=request_id,
                     allocated=self._allocated_blocks,
                     freed=self._freed_blocks, live=inner.used_blocks)
+        summed_bytes = inner.sum_reserved_bytes()
+        if reserved_bytes != summed_bytes:
+            raise SanitizerError(
+                "stale reserved total",
+                f"after {op} of request {request_id} the cached "
+                f"reserved_bytes ({reserved_bytes:.1f}) differs from the "
+                f"ledger-order sum ({summed_bytes:.1f})",
+                op=op, request=request_id, cached_bytes=reserved_bytes,
+                summed_bytes=summed_bytes)
 
     def assert_drained(self) -> None:
         """End-of-trace check: every admitted request was released and
@@ -276,8 +294,9 @@ class SanitizedDeviceLedgers:
     """All-or-nothing checking wrapper around :class:`DeviceLedgers`.
 
     Each per-device ledger is additionally wrapped in a
-    :class:`SanitizedLedger` (so per-device conservation is checked),
-    and the composite operations verify the grid contract: an
+    :class:`SanitizedLedger` (so per-device conservation and each
+    device's cached ``reserved_bytes`` are checked on every fanned-out
+    mutation), and the composite operations verify the grid contract: an
     admission or growth either lands on *every* device or — when the
     bottleneck raises :class:`CapacityError` — on *none*.
     """
@@ -489,9 +508,11 @@ class SanitizedStepPricer(StepPricer):
     function of its key).
 
     Stochastic configurations (Samoyeds LPT with streams > 1 or a
-    device grid) are never whole-step memoised *and* draw from the
-    shared RNG inside ``_price``, so re-pricing them would desync the
-    run; the check is skipped exactly there.
+    device grid) draw each step's routed loads from the shared RNG, so
+    a sampled stochastic step snapshots the bit-generator state before
+    pricing and the fresh pricer re-draws from a *new* generator
+    restored to that snapshot: the same loads, priced through empty
+    memos, while the shared RNG — and so the run — is left untouched.
     """
 
     def __init__(self, *args, check_every: int = DEFAULT_CHECK_EVERY,
@@ -501,17 +522,18 @@ class SanitizedStepPricer(StepPricer):
         self._priced_steps = 0
 
     def price(self, plan: "StepPlan") -> "tuple[float, float, str | None]":
-        priced = super().price(plan)
-        if self.stochastic:
-            return priced
         self._priced_steps += 1
         if self._priced_steps != 1 \
                 and self._priced_steps % self._check_every:
-            return priced
+            return super().price(plan)
+        rng = self._rng
+        if self.stochastic:
+            rng = restored_rng(rng.bit_generator.state)
+        priced = super().price(plan)
         context = (sum(ar.context_tokens for ar in plan.decode)
                    if plan.decode else 0)
         fresh = StepPricer(self.ctx, self._layers, self._popularity,
-                           self._rng, placement=self._placement,
+                           rng, placement=self._placement,
                            cluster=self._cluster)
         step_s, comm_s, winner = fresh._price(plan, context)
         if (abs(step_s - priced[0]) > MEMO_TOL

@@ -20,7 +20,7 @@ Subcommands:
   (single run or ``sweep:`` grid; see :mod:`repro.api`);
 * ``sim [--quick] [--check baseline.json]`` — benchmark the simulator
   itself: replay a synthetic trace through the event-calendar core and
-  the frozen pre-calendar loop, reserved, paged and ``auto``, emit
+  the frozen pre-calendar loop, reserved, paged, ``auto`` and ``ep``, emit
   ``BENCH_sim.json`` with simulated-requests/sec, steps/sec and the
   speedups, optionally gating on checked-in baseline ratios and on the
   two engines' reports agreeing (see :mod:`repro.bench.simbench`);
@@ -629,7 +629,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         num_layers=args.layers, seed=args.seed)
     rows = []
     for label, row in (("reserved", payload), ("paged", payload["paged"]),
-                       ("auto", payload["auto"])):
+                       ("auto", payload["auto"]), ("ep", payload["ep"])):
         for core, key in (("event-calendar", "event_core"),
                           ("reference-loop", "reference_loop")):
             stats = row[key]
@@ -645,7 +645,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
               f"{payload['paged']['speedup']['requests_per_s']:.1f}x "
               f"paged, "
               f"{payload['auto']['speedup']['requests_per_s']:.1f}x "
-              f"auto)"),
+              f"auto, "
+              f"{payload['ep']['speedup']['requests_per_s']:.1f}x ep)"),
         file=sys.stderr)
     text = render_json(payload)
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -10,12 +10,17 @@ frozen pre-calendar loop
 speedup of the calendar core over the reference — the speed
 trajectory later PRs answer to.
 
-Three rows are measured on the same trace: reserved (conservative
+Four rows are measured on the same trace: reserved (conservative
 whole-request KV reservation) at the top level of the payload, paged
-(``page_size=16`` block allocation) under ``paged``, and ``auto``
-(cost-driven engine dispatch, reserved KV) under ``auto``.  Each row
-also serves the reference slice through the event core, untimed, and
-records whether its report JSON equals the reference loop's.
+(``page_size=16`` block allocation) under ``paged``, ``auto``
+(cost-driven engine dispatch, reserved KV) under ``auto``, and ``ep``
+(expert parallelism over four NVLink-joined devices, reserved KV) under
+``ep``.  Each row also serves the reference slice through the event
+core, untimed, and records whether its report JSON equals the
+reference loop's.  The ``ep`` row's steps are priced stochastically
+(each draws its routed loads), so no step takes the fast path; its
+event core serves only the reference slice, timed, which then doubles
+as the identity check.
 
 The regression gate compares the *speedup ratios*, not absolute
 requests/sec: both engines run on the same machine in the same
@@ -60,6 +65,10 @@ PAGED_PAGE_SIZE = 16
 
 #: Engine of the ``auto`` row (reserved KV).
 AUTO_ENGINE_NAME = "auto"
+
+#: Parallel plan and device link of the ``ep`` row (reserved KV).
+EP_PARALLEL = "ep=4"
+EP_LINK = "nvlink"
 
 #: Step allowance for the replay: the decode-heavy workload takes a
 #: few dozen steps per request, far past ``ServingEngine.run``'s
@@ -122,14 +131,16 @@ def _row(make, trace: list[Request],
     per-request cost is what the calendar removed, so a slice bounds
     the benchmark's wall clock).  The event core then serves that
     slice too, untimed, so the row records whether the two engines
-    agree byte for byte on what was timed.  ``make(cls)`` builds the
-    row's engine of class ``cls``.
+    agree byte for byte on what was timed (a trace no longer than the
+    slice is its own check).  ``make(cls)`` builds the row's engine of
+    class ``cls``.
     """
     sliced = trace[:reference_requests]
-    event_core, _ = _timed_run(make(ServingEngine), trace)
+    event_core, core_json = _timed_run(make(ServingEngine), trace)
     reference, reference_json = _timed_run(make(ReferenceEngine), sliced)
-    core_json = _report_json(make(ServingEngine).run(
-        sliced, max_steps=MAX_STEPS))
+    if len(sliced) < len(trace):
+        core_json = _report_json(make(ServingEngine).run(
+            sliced, max_steps=MAX_STEPS))
     speedup = {
         "requests_per_s": (event_core["requests_per_s"]
                            / reference["requests_per_s"]
@@ -149,21 +160,24 @@ def run_benchmark(requests: int = DEFAULT_REQUESTS,
                   gpu: str = "a100", num_layers: int = 1,
                   rate_qps: float = DEFAULT_RATE_QPS,
                   seed: int = DEFAULT_SEED) -> dict[str, object]:
-    """Run the two-sided benchmark — reserved, paged and ``auto`` — and
-    return the payload.
+    """Run the two-sided benchmark — reserved, paged, ``auto`` and
+    ``ep`` — and return the payload.
 
     Requests/sec compare like for like: simulated requests over wall
     seconds on the same machine.  The reserved row sits at the top
     level (``event_core``, ``reference_loop``, ``speedup``,
-    ``reports_match``); the paged and ``auto`` rows repeat those keys
-    under ``paged`` and ``auto``.
+    ``reports_match``); the paged, ``auto`` and ``ep`` rows repeat
+    those keys under ``paged``, ``auto`` and ``ep``.  The ``ep`` row's
+    event core serves the reference slice, not the whole trace.
     """
     reference_requests = min(reference_requests, requests)
     trace = synthetic_trace(requests, rate_qps=rate_qps, seed=seed)
 
-    def make(engine_name: str = engine, page_size: int | None = None):
+    def make(engine_name: str = engine, page_size: int | None = None,
+             **ctx_kw: str):
         def build(cls):
-            ctx = ExecutionContext.create(model, engine_name, gpu)
+            ctx = ExecutionContext.create(model, engine_name, gpu,
+                                          **ctx_kw)
             return cls(ctx=ctx, num_layers=num_layers, seed=seed,
                        page_size=page_size)
         return build
@@ -172,6 +186,8 @@ def run_benchmark(requests: int = DEFAULT_REQUESTS,
     paged = _row(make(page_size=PAGED_PAGE_SIZE), trace,
                  reference_requests)
     auto = _row(make(AUTO_ENGINE_NAME), trace, reference_requests)
+    ep = _row(make(parallel=EP_PARALLEL, link=EP_LINK),
+              trace[:reference_requests], reference_requests)
     return {
         "version": BENCH_VERSION,
         # Informational only: trajectory comparisons across machines
@@ -185,10 +201,12 @@ def run_benchmark(requests: int = DEFAULT_REQUESTS,
             "rate_qps": rate_qps, "seed": seed,
             "paged_page_size": PAGED_PAGE_SIZE,
             "auto_engine": AUTO_ENGINE_NAME,
+            "ep_parallel": EP_PARALLEL, "ep_link": EP_LINK,
         },
         **reserved,
         "paged": paged,
         "auto": auto,
+        "ep": ep,
     }
 
 
@@ -200,8 +218,9 @@ def check_regression(payload: dict[str, object], baseline_path: "str | Path",
     failure message.  Each row's gate is its requests/sec *speedup
     ratio*: ``measured >= baseline * (1 - tolerance)``, against
     ``speedup_requests_per_s`` (reserved row) and, when the baseline
-    records them, ``paged_speedup_requests_per_s`` (``paged`` row) and
-    ``auto_speedup_requests_per_s`` (``auto`` row).  A row whose event
+    records them, ``paged_speedup_requests_per_s`` (``paged`` row),
+    ``auto_speedup_requests_per_s`` (``auto`` row) and
+    ``ep_speedup_requests_per_s`` (``ep`` row).  A row whose event
     core reported differently from the reference loop on the reference
     slice fails regardless of its speed.
     """
@@ -219,7 +238,7 @@ def check_regression(payload: dict[str, object], baseline_path: "str | Path",
 
     # A baseline that predates a row leaves its ratio ungated.
     rows = [("sim-throughput", payload, ratio("speedup_requests_per_s"))]
-    for name in ("paged", "auto"):
+    for name in ("paged", "auto", "ep"):
         key = f"{name}_speedup_requests_per_s"
         rows.append((f"{name} sim-throughput", payload.get(name),
                      ratio(key) if key in baseline else None))

@@ -417,38 +417,26 @@ class SamoyedsEngine(MoEEngine):
     #: weighted-accumulation epilogue (read 4B + write 4B per fp16 out).
     ACC_EPILOGUE_FACTOR = 4.0
 
-    def cost(self, config: MoEModelConfig, tokens: int, spec: GPUSpec,
-             num_shared: int | None = None) -> CostBreakdown:
+    def segment_n(self, config: MoEModelConfig, tokens: int) -> int:
+        """Padded token count of each routed expert's SSMM segment at
+        the mean load of a ``tokens``-token step."""
+        tile_n = self.tile_rows(config)
+        work = LayerWorkload(config, tokens)
+        return math.ceil(work.routed_tokens_per_expert / tile_n) * tile_n
+
+    def dataflow_seconds(self, config: MoEModelConfig, tokens: int,
+                         spec: GPUSpec,
+                         num_shared: int | None = None) -> float:
+        """The layer's data-flow overhead beyond the SSMM kernels — the
+        ``dataflow_s`` of :meth:`cost`, without pricing any GEMM."""
         shared = (config.num_shared_experts if num_shared is None
                   else num_shared)
-        work = LayerWorkload(config, tokens)
-        tile_n = self.tile_rows(config)
         h, inter = config.hidden_size, config.intermediate_size
-        # The kernel integrates with the model expert-by-expert (§4.5's
-        # layout variants exist per operand role): each expert is one
-        # SSMM segment at its own padded token count.  This is where the
-        # §6.2 padding discussion bites for many-expert models.
-        n_e = math.ceil(work.routed_tokens_per_expert / tile_n) * tile_n
-        # All experts share the padded segment shape: price the SSMM
-        # triple once (gate and up are the same GEMM) and replicate.
-        routed_gate_up = self._kernel.cost(inter, h, n_e, spec,
-                                           n_full=tokens)
-        routed_down = self._kernel.cost(h, inter, n_e, spec,
-                                        n_full=tokens)
-        parts = [routed_gate_up, routed_gate_up,
-                 routed_down] * config.num_experts
-        if shared > 0:
-            shared_gate_up = self._kernel.cost(inter, h, tokens, spec,
-                                               n_full=tokens)
-            shared_down = self._kernel.cost(h, inter, tokens, spec,
-                                            n_full=tokens)
-            parts.extend([shared_gate_up, shared_gate_up,
-                          shared_down] * shared)
-        gemm = combine(f"{self.name}-gemms", parts)
+        n_e = self.segment_n(config, tokens)
         # Fused weighted accumulation: the down_proj epilogue performs an
         # fp32 read-modify-write against the shared output for every
         # routed token (plus shared-expert contributions).
-        acc_rows = work.total_routed_tokens + shared * tokens
+        acc_rows = tokens * config.top_k + shared * tokens
         acc_s = (self.ACC_EPILOGUE_FACTOR * acc_rows * h
                  / spec.dram_bandwidth)
         # The act(gate)*up fusion happens in the up_proj epilogue, which
@@ -474,6 +462,35 @@ class SamoyedsEngine(MoEEngine):
                                              spec)
             extra_s += (2 * config.num_experts
                         * spec.kernel_launch_overhead_s)
+        return extra_s
+
+    def cost(self, config: MoEModelConfig, tokens: int, spec: GPUSpec,
+             num_shared: int | None = None) -> CostBreakdown:
+        shared = (config.num_shared_experts if num_shared is None
+                  else num_shared)
+        h, inter = config.hidden_size, config.intermediate_size
+        # The kernel integrates with the model expert-by-expert (§4.5's
+        # layout variants exist per operand role): each expert is one
+        # SSMM segment at its own padded token count.  This is where the
+        # §6.2 padding discussion bites for many-expert models.
+        n_e = self.segment_n(config, tokens)
+        # All experts share the padded segment shape: price the SSMM
+        # triple once (gate and up are the same GEMM) and replicate.
+        routed_gate_up = self._kernel.cost(inter, h, n_e, spec,
+                                           n_full=tokens)
+        routed_down = self._kernel.cost(h, inter, n_e, spec,
+                                        n_full=tokens)
+        parts = [routed_gate_up, routed_gate_up,
+                 routed_down] * config.num_experts
+        if shared > 0:
+            shared_gate_up = self._kernel.cost(inter, h, tokens, spec,
+                                               n_full=tokens)
+            shared_down = self._kernel.cost(h, inter, tokens, spec,
+                                            n_full=tokens)
+            parts.extend([shared_gate_up, shared_gate_up,
+                          shared_down] * shared)
+        gemm = combine(f"{self.name}-gemms", parts)
+        extra_s = self.dataflow_seconds(config, tokens, spec, shared)
         padded_tokens = n_e * config.num_experts
         return replace(gemm, name=self.name,
                        time_s=gemm.time_s + extra_s,

@@ -317,7 +317,11 @@ class MemoryLedger:
     ``live_bytes`` reports the instantaneous static + KV footprint as
     caches grow token by token; ``reserved_bytes`` reports what the
     admission policy has actually charged.  The serving metrics sample
-    both per step.
+    both per step.  ``reserved_bytes`` is cached between the mutations
+    that change a charge (admit, block-allocating growth, release), so
+    the many queries of a step — every ``free_bytes`` check, the
+    utilisation sample, a device grid's fan-out — do not re-sum every
+    resident; the cache holds that same sum, in ledger order.
     """
 
     config: MoEModelConfig
@@ -334,6 +338,9 @@ class MemoryLedger:
         self.budget_bytes = (float(self.spec.dram_capacity)
                              * (1.0 - FRAGMENTATION))
         self._context: dict[int, int] = {}
+        #: ``reserved_bytes`` as of the last charge change (``None``
+        #: until the next query re-sums it).
+        self._reserved_bytes: float | None = None
 
     # -- shared arithmetic ---------------------------------------------
     def sequence_bytes(self, seq_len: int) -> float:
@@ -343,6 +350,14 @@ class MemoryLedger:
     @property
     def reserved_bytes(self) -> float:
         """Bytes the admission policy has charged (static included)."""
+        cached_bytes = self._reserved_bytes
+        if cached_bytes is None:
+            cached_bytes = self._reserved_bytes = self.sum_reserved_bytes()
+        return cached_bytes
+
+    def sum_reserved_bytes(self) -> float:
+        """``reserved_bytes`` summed afresh over the residents, in
+        ledger (admission) order — what the cache must always hold."""
         raise NotImplementedError
 
     @property
@@ -418,11 +433,16 @@ class MemoryLedger:
     @property
     def live_bytes(self) -> float:
         """Instantaneous footprint: static + grown-so-far KV caches."""
+        return self.static_bytes + self.live_kv_bytes()
+
+    def live_kv_bytes(self) -> float:
+        """Grown-so-far KV caches on this device, summed in ledger
+        order (the non-static part of :attr:`live_bytes`)."""
         kv_bytes = sum(kv_cache_bytes(self.config, tokens)
                        for tokens in self._context.values())
         if self.parallel is not None and not self.parallel.is_trivial:
             kv_bytes /= self.parallel.tp
-        return self.static_bytes + kv_bytes
+        return kv_bytes
 
     @property
     def pool_utilisation(self) -> float:
@@ -447,8 +467,7 @@ class KVCacheTracker(MemoryLedger):
         super().__post_init__()
         self._reserved: dict[int, float] = {}
 
-    @property
-    def reserved_bytes(self) -> float:
+    def sum_reserved_bytes(self) -> float:
         return self.static_bytes + sum(self._reserved.values())
 
     def can_admit(self, final_seq_len: int) -> bool:
@@ -474,6 +493,7 @@ class KVCacheTracker(MemoryLedger):
             raise ConfigError(f"request {request_id} already admitted")
         self._reserved[request_id] = need_bytes
         self._context[request_id] = prompt_tokens
+        self._reserved_bytes = None
 
     def admission_chunk(self, desired_tokens: int,
                         final_seq_len: int) -> int:
@@ -488,6 +508,7 @@ class KVCacheTracker(MemoryLedger):
 
     def release(self, request_id: int) -> None:
         self._reserved.pop(request_id, None)
+        self._reserved_bytes = None
         super().release(request_id)
 
 
@@ -546,8 +567,7 @@ class BlockAllocator(MemoryLedger):
         order — the order :attr:`reserved_bytes` sums in."""
         return dict(self._blocks)
 
-    @property
-    def reserved_bytes(self) -> float:
+    def sum_reserved_bytes(self) -> float:
         return self.static_bytes + sum(self.block_bytes(blocks)
                                        for blocks in self._blocks.values())
 
@@ -573,6 +593,7 @@ class BlockAllocator(MemoryLedger):
                 available_bytes=int(max(self.free_bytes, 0)))
         self._blocks[request_id] = blocks
         self._context[request_id] = prompt_tokens
+        self._reserved_bytes = None
 
     def admission_chunk(self, desired_tokens: int,
                         final_seq_len: int) -> int:
@@ -626,6 +647,7 @@ class BlockAllocator(MemoryLedger):
                     required_bytes=int(delta_bytes),
                     available_bytes=int(max(self.free_bytes, 0)))
             self._blocks[request_id] = needed
+            self._reserved_bytes = None
         self._context[request_id] = context
 
     def install_growth(self, request_id: int, new_tokens: int,
@@ -648,11 +670,14 @@ class BlockAllocator(MemoryLedger):
                 f"request {request_id}: {blocks} blocks installed for "
                 f"a {context}-token context holding "
                 f"{self._blocks[request_id]}")
-        self._blocks[request_id] = blocks
+        if blocks != self._blocks[request_id]:
+            self._blocks[request_id] = blocks
+            self._reserved_bytes = None
         self._context[request_id] = context
 
     def release(self, request_id: int) -> None:
         self._blocks.pop(request_id, None)
+        self._reserved_bytes = None
         super().release(request_id)
 
 
@@ -676,6 +701,12 @@ class DeviceLedgers:
     def __init__(self, ledgers: "list[MemoryLedger]") -> None:
         if not ledgers:
             raise ConfigError("DeviceLedgers needs at least one ledger")
+        first = ledgers[0]
+        if any(led.config != first.config or led.parallel != first.parallel
+               for led in ledgers):
+            raise ConfigError(
+                "DeviceLedgers' devices must share one model and "
+                "parallel plan")
         self.ledgers = list(ledgers)
 
     @classmethod
@@ -735,8 +766,15 @@ class DeviceLedgers:
 
     @property
     def live_bytes(self) -> float:
-        """Cluster-wide instantaneous footprint."""
-        return sum(led.live_bytes for led in self.ledgers)
+        """Cluster-wide instantaneous footprint.
+
+        Every device holds the same residents at the same contexts
+        (admission and growth fan out all-or-nothing) under one model
+        and plan, so the KV term every device would sum is summed once
+        and added to each device's static charge.
+        """
+        kv_bytes = self.ledgers[0].live_kv_bytes()
+        return sum(led.static_bytes + kv_bytes for led in self.ledgers)
 
     @property
     def free_bytes(self) -> float:

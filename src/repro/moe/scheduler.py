@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -68,14 +69,13 @@ def segment_seconds_from_loads(config: MoEModelConfig,
     """Per-expert SSMM-triple time for the given per-expert token loads.
 
     The gate and up projections share one GEMM shape ``(inter, h, n_e)``
-    so their cost is computed once and counted twice.  The load vector
-    is bucketed through numpy: loads pad to their ``tile_n`` multiple
-    with integer arithmetic (``(load + tile_n - 1) // tile_n * tile_n``
-    equals the reference ``ceil`` for every integer load), the *unique*
-    padded shapes are priced once each through the kernel model, and
-    the per-expert vector is filled by bucket — a serving step prices a
-    64-expert layer with a handful of kernel-model evaluations instead
-    of one per expert.
+    so their cost is computed once and counted twice.  Loads pad to
+    their ``tile_n`` multiple with integer arithmetic (``(load + tile_n
+    - 1) // tile_n * tile_n`` equals the reference ``ceil`` for every
+    integer load) and each expert's segment is looked up by its padded
+    shape: only shapes not yet in ``memo`` go through the kernel model,
+    so a serving step prices a 64-expert layer with a handful of
+    kernel-model evaluations instead of one per expert.
 
     ``memo`` optionally persists the per-``n_e`` triple seconds across
     calls (the serving pricer reuses one dict per run).  It must be
@@ -94,49 +94,29 @@ def segment_seconds_from_loads(config: MoEModelConfig,
     h, inter = config.hidden_size, config.intermediate_size
     if tp > 1:
         inter = max(1, math.ceil(inter / tp))
-    arr = np.asarray(loads if isinstance(loads, np.ndarray)
-                     else list(loads), dtype=np.int64)
-    if arr.size == 0:
-        return []
+    if isinstance(loads, np.ndarray):
+        loads = loads.astype(np.int64, copy=False).tolist()
+    else:
+        loads = [int(load) for load in loads]
     if memo is None:
         memo = {}
-    padded = (arr + tile_n - 1) // tile_n * tile_n
-    out = np.zeros(arr.size, dtype=np.float64)
-    active = arr != 0
-    for n_e in np.unique(padded[active]):
-        n_int = int(n_e)
-        triple = memo.get(n_int)
-        if triple is None:
-            gate_up_s = kernel.cost(inter, h, n_int, spec).time_s
-            down_s = kernel.cost(h, inter, n_int, spec).time_s
-            triple = memo[n_int] = 2.0 * gate_up_s + down_s
-        out[active & (padded == n_e)] = triple
-    return out.tolist()
+    padded = [(load + tile_n - 1) // tile_n * tile_n if load else 0
+              for load in loads]
+    for n_e in set(padded).difference(memo):
+        if n_e:
+            gate_up_s = kernel.cost(inter, h, n_e, spec).time_s
+            down_s = kernel.cost(h, inter, n_e, spec).time_s
+            memo[n_e] = 2.0 * gate_up_s + down_s
+    return [memo[n_e] if n_e else 0.0 for n_e in padded]
 
 
-def expert_segment_seconds(config: "MoEModelConfig | ExecutionContext",
-                           plan: RoutingPlan,
-                           spec: GPUSpec | None = None,
-                           kernel: SamoyedsKernel | None = None,
-                           tile_n: int | None = None) -> list[float]:
-    """Per-expert SSMM-triple time under the actual routed loads.
-
-    Accepts either the legacy ``(config, plan, spec, kernel)`` arguments
-    or an :class:`~repro.context.ExecutionContext` first argument that
-    supplies device, kernel and tile choices.
-    """
-    from repro.context import ExecutionContext
-    if isinstance(config, ExecutionContext):
-        ctx = config
-        spec = spec or ctx.spec
-        kernel = kernel or ctx.segment_kernel()
-        tile_n = ctx.effective_tile_n if tile_n is None else tile_n
-        config = ctx.config
-    if spec is None or kernel is None:
-        raise ConfigError(
-            "spec and kernel are required without an ExecutionContext")
-    return segment_seconds_from_loads(config, plan.load(), spec, kernel,
-                                      64 if tile_n is None else tile_n)
+def expert_segment_seconds(ctx: "ExecutionContext",
+                           plan: RoutingPlan) -> list[float]:
+    """Per-expert SSMM-triple time under the actual routed loads, on
+    the device, segment kernel and tile size of ``ctx``."""
+    return segment_seconds_from_loads(ctx.config, plan.load(), ctx.spec,
+                                      ctx.segment_kernel(),
+                                      ctx.effective_tile_n)
 
 
 def schedule_sequential(segments: list[float]) -> ScheduleResult:
@@ -153,8 +133,25 @@ def schedule_parallel(segments: list[float],
     LPT is a 4/3-approximation of optimal makespan — good enough to
     show the skew sensitivity the scheduler exists to expose.
     """
+    return ScheduleResult(policy="parallel", streams=streams,
+                          makespan_s=_lpt_makespan(segments, streams),
+                          segment_seconds=tuple(segments))
+
+
+def _lpt_makespan(segments: list[float], streams: int) -> float:
+    """Makespan of greedy LPT placement onto ``streams`` streams.
+
+    One stream sums the segments in the heap's order (descending) with
+    an explicit ``+=`` chain — the same float additions the heap makes,
+    which ``sum()`` over the sorted list would not guarantee.
+    """
     if streams <= 0:
         raise ConfigError("streams must be positive")
+    if streams == 1:
+        total_s = 0.0
+        for seg_s in sorted(segments, reverse=True):
+            total_s += seg_s
+        return total_s
     loads = [0.0] * streams
     heap = [(0.0, i) for i in range(streams)]
     heapq.heapify(heap)
@@ -162,9 +159,7 @@ def schedule_parallel(segments: list[float],
         load, idx = heapq.heappop(heap)
         loads[idx] = load + seg
         heapq.heappush(heap, (loads[idx], idx))
-    return ScheduleResult(policy="parallel", streams=streams,
-                          makespan_s=max(loads) if loads else 0.0,
-                          segment_seconds=tuple(segments))
+    return max(loads)
 
 
 def schedule_fused(config: MoEModelConfig, plan: RoutingPlan,
@@ -207,8 +202,8 @@ def compare_policies(config: "MoEModelConfig | ExecutionContext",
     kernel = kernel or SamoyedsKernel()
     streams = 4 if streams is None else streams
     tile_n = 64 if tile_n is None else tile_n
-    segments_s = expert_segment_seconds(config, plan, spec, kernel,
-                                        tile_n)
+    segments_s = segment_seconds_from_loads(config, plan.load(), spec,
+                                            kernel, tile_n)
     return {
         "sequential": schedule_sequential(segments_s),
         "parallel": schedule_parallel(segments_s, streams),
@@ -248,10 +243,20 @@ class ExpertPlacement:
     def num_experts(self) -> int:
         return len(self.device_of)
 
+    @cached_property
+    def experts_by_device(self) -> tuple[tuple[int, ...], ...]:
+        """Expert indices owned by each device, in expert order (built
+        once per placement)."""
+        owned: list[list[int]] = [[] for _ in range(self.ep)]
+        for expert, device in enumerate(self.device_of):
+            owned[device].append(expert)
+        return tuple(tuple(experts) for experts in owned)
+
     def experts_on(self, device: int) -> tuple[int, ...]:
         """Expert indices owned by ``device``."""
-        return tuple(e for e, d in enumerate(self.device_of)
-                     if d == device)
+        if not 0 <= device < self.ep:
+            return ()
+        return self.experts_by_device[device]
 
     def counts(self) -> tuple[int, ...]:
         """Experts per device (the weight-footprint profile)."""
@@ -358,12 +363,9 @@ def device_makespans(segments: "Iterable[float]",
     if len(segs) != placement.num_experts:
         raise ConfigError(
             f"{len(segs)} segments for {placement.num_experts} experts")
-    out = []
-    for device in range(placement.ep):
-        mine = [segs[e] for e in placement.experts_on(device)]
-        out.append(schedule_parallel(mine, streams).makespan_s
-                   if mine else 0.0)
-    return out
+    return [_lpt_makespan([segs[e] for e in experts], streams)
+            if experts else 0.0
+            for experts in placement.experts_by_device]
 
 
 def dispatch_combine_seconds(config: MoEModelConfig, routed_tokens: int,

@@ -67,8 +67,8 @@ def _reference_segment_seconds(config, loads, spec, kernel, tile_n,
     """Scalar per-expert segment pricing, as shipped pre-refactor.
 
     A frozen copy of the original ``segment_seconds_from_loads`` body —
-    the live function now takes the vectorized bucket path, which the
-    reference must not share.
+    the live function now looks each padded shape up in a persistent
+    memo, which the reference must not share.
     """
     import math
     if tile_n <= 0:

@@ -16,8 +16,7 @@ them exactly:
 * prefill attention by prompt length, chunk attention by
   ``(offset, tokens)``, the decode-attention projection GEMMs by batch
   size (the context-dependent remainder is closed-form arithmetic);
-* the monolithic MoE engine cost (time and data-flow overhead) by
-  token count;
+* the monolithic MoE engine time by token count;
 * RMSNorm and boundary-collective seconds by token count;
 * whole steps by their exact plan signature — the tuple of prompt
   lengths, chunk slices and the decode ``(batch, context)`` pair — so
@@ -35,8 +34,15 @@ pins this).  The one path that is *not* memoised per step is the
 stochastic one: a Samoyeds context with ``streams > 1`` (or a
 distributed Samoyeds context) draws per-expert loads from the RNG each
 step; skipping the draw would desynchronise the stream, so those steps
-re-draw every time and only the deterministic components (attention,
-norms, data-flow, the per-``n_e`` segment triples) hit memos.
+re-draw every time.  Such a step does only the work its answer depends
+on: attention, norms and collectives hit the memos above; the Samoyeds
+data-flow overhead is memoised per token count through
+:meth:`~repro.moe.layers.SamoyedsEngine.dataflow_seconds` (no GEMM
+model runs for it); each drawn load maps to its padded segment shape
+through the per-``n_e`` triple memo, so only unseen shapes reach the
+kernel model; and the per-device expert lists of the placement are
+built once, leaving one LPT (a plain descending sum on one stream)
+per device.
 """
 
 from __future__ import annotations
@@ -103,7 +109,8 @@ class StepPricer:
         self._proj: dict[int, float] = {}
         self._norm: dict[int, float] = {}
         self._comm: dict[int, float] = {}
-        self._moe: dict[int, tuple[float, float]] = {}
+        self._moe: dict[int, float] = {}
+        self._dataflow: dict[int, float] = {}
         self._segments: dict[int, dict[int, float]] = {}
         self._steps: dict[tuple, tuple[float, float, str | None]] = {}
         self._winners: dict[tuple, str] = {}
@@ -228,15 +235,28 @@ class StepPricer:
                 self._cluster)
         return cached_s
 
-    def _moe_cost(self, tokens: int) -> "tuple[float, float]":
-        """Memoised monolithic engine cost: (time_s, dataflow_s)."""
-        cached = self._moe.get(tokens)
-        if cached is None:
-            cost = self.ctx.engine.cost(self.ctx.config, tokens,
-                                        self.ctx.spec)
-            cached = self._moe[tokens] = (
-                cost.time_s, float(cost.detail.get("dataflow_s", 0.0)))
-        return cached
+    def _moe_time(self, tokens: int) -> float:
+        """Memoised monolithic engine seconds."""
+        cached_s = self._moe.get(tokens)
+        if cached_s is None:
+            cached_s = self._moe[tokens] = self.ctx.engine.cost(
+                self.ctx.config, tokens, self.ctx.spec).time_s
+        return cached_s
+
+    def _dataflow_seconds(self, tokens: int) -> float:
+        """Memoised Samoyeds data-flow overhead (the engine cost's
+        ``dataflow_s``, priced without its GEMMs)."""
+        cached_s = self._dataflow.get(tokens)
+        if cached_s is None:
+            engine = self.ctx.engine
+            if not isinstance(engine, SamoyedsEngine):
+                raise InternalError(
+                    "data-flow pricing requested on a non-Samoyeds "
+                    f"engine ({type(engine).__name__})")
+            cached_s = self._dataflow[tokens] = float(
+                engine.dataflow_seconds(self.ctx.config, tokens,
+                                        self.ctx.spec))
+        return cached_s
 
     # ------------------------------------------------------------------
     # MoE-layer paths (mirror the reference loop's three cases)
@@ -247,10 +267,10 @@ class StepPricer:
             return 0.0
         ctx = self.ctx
         if not (self._samoyeds and ctx.streams > 1):
-            return self._moe_cost(tokens)[0]
+            return self._moe_time(tokens)
         # LPT path: overlap per-expert SSMM segments on ctx.streams
         # streams; keep the engine model's data-flow overheads.
-        _, dataflow_s = self._moe_cost(tokens)
+        dataflow_s = self._dataflow_seconds(tokens)
         segments = self._draw_segments(tokens)
         makespan_s = schedule_parallel(segments, ctx.streams).makespan_s
         return makespan_s + dataflow_s
@@ -263,9 +283,8 @@ class StepPricer:
         ctx = self.ctx
         parallel = ctx.parallel
         if not self._samoyeds:
-            return self._moe_cost(tokens)[0] / (parallel.ep
-                                                * parallel.tp)
-        _, dataflow_s = self._moe_cost(tokens)
+            return self._moe_time(tokens) / (parallel.ep * parallel.tp)
+        dataflow_s = self._dataflow_seconds(tokens)
         segments = self._draw_segments(tokens, tp=parallel.tp)
         if self._placement is not None:
             compute_s = max(device_makespans(segments, self._placement,

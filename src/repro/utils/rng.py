@@ -26,3 +26,12 @@ def new_rng(seed: int | np.random.Generator | None = None
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
+
+
+def restored_rng(state: dict) -> np.random.Generator:
+    """A new generator whose bit generator is restored to ``state`` (a
+    ``Generator.bit_generator.state`` snapshot): it replays exactly the
+    draws the snapshotted generator made next, without touching it."""
+    bit_generator = getattr(np.random, state["bit_generator"])(0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)

@@ -86,6 +86,21 @@ class TestRunBenchmark:
         assert auto["event_core"]["requests"] == 30
         assert auto["reference_loop"]["requests"] == 10
 
+    def test_ep_row_and_report_identity(self):
+        payload = simbench.run_benchmark(requests=30,
+                                         reference_requests=10)
+        ep = payload["ep"]
+        assert payload["workload"]["ep_parallel"] == "ep=4"
+        assert payload["workload"]["ep_link"] == "nvlink"
+        assert ep["reports_match"] is True
+        assert ep["speedup"]["requests_per_s"] > 0
+        for side in ("event_core", "reference_loop"):
+            assert ep[side]["completed"] == ep[side]["requests"]
+        # Both sides serve the reference slice.
+        assert ep["event_core"]["requests"] == 10
+        assert ep["reference_loop"]["requests"] == 10
+        assert ep["event_core"]["steps"] == ep["reference_loop"]["steps"]
+
     def test_reference_slice_clamped_to_trace(self):
         payload = simbench.run_benchmark(requests=8,
                                          reference_requests=50)
@@ -134,6 +149,19 @@ class TestCheckRegression:
         failure = simbench.check_regression(payload, baseline)
         assert failure is not None
         assert failure.startswith("auto sim-throughput regression")
+
+    def test_gates_ep_row(self, tmp_path):
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({
+            "speedup_requests_per_s": 10.0,
+            "ep_speedup_requests_per_s": 10.0}))
+        payload = self._payload(8.0)
+        payload["ep"] = {"speedup": {"requests_per_s": 7.5}}
+        assert simbench.check_regression(payload, baseline) is None
+        payload["ep"] = {"speedup": {"requests_per_s": 6.0}}
+        failure = simbench.check_regression(payload, baseline)
+        assert failure is not None
+        assert failure.startswith("ep sim-throughput regression")
 
     def test_paged_ratio_ungated_without_baseline_key(self, tmp_path):
         baseline = tmp_path / "base.json"
@@ -209,7 +237,8 @@ class TestCli:
         baseline.write_text(json.dumps({
             "speedup_requests_per_s": 1e-9,
             "paged_speedup_requests_per_s": 1e-9,
-            "auto_speedup_requests_per_s": 1e-9}))
+            "auto_speedup_requests_per_s": 1e-9,
+            "ep_speedup_requests_per_s": 1e-9}))
         rc = main(["sim", "--requests", "20",
                    "--reference-requests", "8",
                    "--output", str(tmp_path / "b.json"),
@@ -220,3 +249,4 @@ class TestCli:
                 "report differs") in err
         assert "paged sim-throughput: the event core's report" in err
         assert "auto sim-throughput: the event core's report" in err
+        assert "ep sim-throughput: the event core's report" in err

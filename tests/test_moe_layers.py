@@ -138,3 +138,44 @@ class TestAblationFeatures:
         engine = SamoyedsEngine()
         assert engine.tile_rows(MODEL_REGISTRY["qwen2-moe"]) == 64
         assert engine.tile_rows(MODEL_REGISTRY["mixtral-8x7b"]) == 128
+
+
+#: Figure 17's ablation ladder (``bench/figures.py``), plus the defaults.
+ABLATION_STAGES = {
+    "+W": SamoyedsFeatures().without("input_selection")
+                            .without("layout").without("stationary"),
+    "+WI": SamoyedsFeatures().without("layout").without("stationary"),
+    "+WIT": SamoyedsFeatures().without("stationary"),
+    "+WITS": SamoyedsFeatures(),
+}
+
+
+class TestDataflowSeconds:
+    """``SamoyedsEngine.dataflow_seconds`` is the data-flow term of
+    ``cost()`` — bit for bit, without pricing a GEMM."""
+
+    @pytest.mark.parametrize("stage", sorted(ABLATION_STAGES))
+    @pytest.mark.parametrize("model", ["mixtral-8x7b", "qwen2-moe"])
+    def test_equals_cost_detail(self, stage, model, a100):
+        engine = SamoyedsEngine(features=ABLATION_STAGES[stage])
+        cfg = MODEL_REGISTRY[model]
+        for tokens in (1, 2, 7, 63, 64, 65, 300, 1024, 4096, 5000):
+            for shared in (None, 0, 2):
+                want = engine.cost(cfg, tokens, a100,
+                                   num_shared=shared).detail["dataflow_s"]
+                got = engine.dataflow_seconds(cfg, tokens, a100,
+                                              num_shared=shared)
+                assert got == want, (stage, model, tokens, shared)
+
+    def test_prices_no_gemm(self, a100):
+        engine = SamoyedsEngine()
+        calls = []
+        cost = engine._kernel.cost
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cost(*args, **kwargs)
+
+        engine._kernel.cost = counting
+        engine.dataflow_seconds(MODEL_REGISTRY["mixtral-8x7b"], 512, a100)
+        assert calls == []

@@ -272,3 +272,79 @@ class TestBlockAllocator:
         assert alloc.pool_utilisation == 0.0
         alloc.admit(0, 1024, 2048)
         assert 0.0 < alloc.pool_utilisation <= 1.0
+
+
+class TestCachedReservedBytes:
+    """``reserved_bytes`` is cached between charge changes and always
+    equals the ledger-order sum it replaced, bit for bit."""
+
+    CFG = MODEL_REGISTRY["mixtral-8x7b"]
+
+    def _ledgers(self, a100):
+        from repro.moe.memory_model import BlockAllocator, KVCacheTracker
+        return (KVCacheTracker(self.CFG, "samoyeds", a100),
+                BlockAllocator(self.CFG, "samoyeds", a100, page_size=16))
+
+    @staticmethod
+    def _summed_bytes(ledger):
+        """The sum ``reserved_bytes`` computed on every query before
+        it was cached."""
+        from repro.moe.memory_model import BlockAllocator
+        if isinstance(ledger, BlockAllocator):
+            return ledger.static_bytes + sum(
+                ledger.block_bytes(blocks)
+                for blocks in ledger.block_counts().values())
+        return ledger.static_bytes + sum(ledger._reserved.values())
+
+    def test_cache_tracks_every_mutation(self, a100):
+        import numpy as np
+
+        from repro.moe.memory_model import BlockAllocator
+        rng = np.random.default_rng(4)
+        for ledger in self._ledgers(a100):
+            resident = []
+            for step in range(300):
+                op = rng.integers(0, 4)
+                if op == 0 or not resident:
+                    rid = step
+                    prompt = int(rng.integers(1, 900))
+                    ledger.admit(rid, prompt, prompt + 400)
+                    resident.append(rid)
+                elif op == 1:
+                    ledger.grow(resident[int(rng.integers(len(resident)))],
+                                int(rng.integers(1, 40)))
+                elif op == 2 and isinstance(ledger, BlockAllocator):
+                    rid = resident[int(rng.integers(len(resident)))]
+                    tokens = int(rng.integers(1, 40))
+                    context = ledger.kv_tokens()[resident.index(rid)]
+                    blocks = max(ledger.block_counts()[rid],
+                                 ledger.blocks_for(context + tokens))
+                    ledger.install_growth(rid, tokens, blocks)
+                else:
+                    ledger.release(resident.pop(
+                        int(rng.integers(len(resident)))))
+                assert ledger.reserved_bytes == self._summed_bytes(ledger)
+                assert ledger.reserved_bytes \
+                    == ledger.sum_reserved_bytes()
+
+    def test_query_does_not_resum(self, a100, monkeypatch):
+        for ledger in self._ledgers(a100):
+            ledger.admit(0, 100, 200)
+            first = ledger.reserved_bytes
+            calls = []
+            summed = type(ledger).sum_reserved_bytes
+
+            def counting(self_, summed=summed):
+                calls.append(1)
+                return summed(self_)
+
+            monkeypatch.setattr(type(ledger), "sum_reserved_bytes",
+                                counting)
+            assert ledger.reserved_bytes == first
+            assert ledger.free_bytes == ledger.budget_bytes - first
+            ledger.grow(0, 1)                     # no new block
+            assert ledger.reserved_bytes == first
+            assert calls == []
+            ledger.release(0)
+            assert ledger.reserved_bytes == ledger.static_bytes
+            assert calls == [1]

@@ -1,5 +1,9 @@
 """Expert-segment scheduling policies."""
 
+import heapq
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -25,15 +29,15 @@ def plan():
 class TestSegments:
     def test_segment_count_matches_experts(self, spec, plan):
         from repro.kernels.ssmm_samoyeds import SamoyedsKernel
-        segments = expert_segment_seconds(CFG, plan, spec,
-                                          SamoyedsKernel())
+        segments = segment_seconds_from_loads(CFG, plan.load(), spec,
+                                              SamoyedsKernel())
         assert len(segments) == CFG.num_experts
         assert all(s >= 0 for s in segments)
 
     def test_loaded_experts_cost_time(self, spec, plan):
         from repro.kernels.ssmm_samoyeds import SamoyedsKernel
-        segments = expert_segment_seconds(CFG, plan, spec,
-                                          SamoyedsKernel())
+        segments = segment_seconds_from_loads(CFG, plan.load(), spec,
+                                              SamoyedsKernel())
         loads = plan.load()
         for load, seg in zip(loads, segments):
             assert (seg > 0) == (load > 0)
@@ -153,10 +157,11 @@ class TestContextIntegration:
         from repro.context import ExecutionContext
         ctx = ExecutionContext.create(CFG, "samoyeds", spec, streams=4)
         from repro.kernels.ssmm_samoyeds import SamoyedsKernel
-        legacy = expert_segment_seconds(CFG, plan, spec, SamoyedsKernel(),
-                                        tile_n=ctx.effective_tile_n)
+        explicit = segment_seconds_from_loads(
+            CFG, plan.load(), spec, SamoyedsKernel(),
+            tile_n=ctx.effective_tile_n)
         via_ctx = expert_segment_seconds(ctx, plan)
-        assert via_ctx == pytest.approx(legacy)
+        assert via_ctx == pytest.approx(explicit)
         out = compare_policies(ctx, plan)
         assert out["parallel"].streams == 4
 
@@ -270,3 +275,118 @@ class TestExpertParallelSchedule:
 def _kernel():
     from repro.kernels.ssmm_samoyeds import SamoyedsKernel
     return SamoyedsKernel()
+
+
+def _numpy_segment_seconds(config, loads, spec, kernel, tile_n=64, tp=1,
+                           memo=None):
+    """The numpy-bucketed body ``segment_seconds_from_loads`` had
+    before its per-load memo lookup, kept here as the bitwise oracle."""
+    h, inter = config.hidden_size, config.intermediate_size
+    if tp > 1:
+        inter = max(1, math.ceil(inter / tp))
+    arr = np.asarray(loads if isinstance(loads, np.ndarray)
+                     else list(loads), dtype=np.int64)
+    if arr.size == 0:
+        return []
+    if memo is None:
+        memo = {}
+    padded = (arr + tile_n - 1) // tile_n * tile_n
+    out = np.zeros(arr.size, dtype=np.float64)
+    active = arr != 0
+    for n_e in np.unique(padded[active]):
+        n_int = int(n_e)
+        triple = memo.get(n_int)
+        if triple is None:
+            gate_up_s = kernel.cost(inter, h, n_int, spec).time_s
+            down_s = kernel.cost(h, inter, n_int, spec).time_s
+            triple = memo[n_int] = 2.0 * gate_up_s + down_s
+        out[active & (padded == n_e)] = triple
+    return out.tolist()
+
+
+def _heap_lpt_makespan(segments, streams):
+    """Greedy LPT makespan through a heap, as ``schedule_parallel``
+    computed it for every stream count."""
+    loads = [0.0] * streams
+    heap = [(0.0, i) for i in range(streams)]
+    heapq.heapify(heap)
+    for seg in sorted(segments, reverse=True):
+        load, idx = heapq.heappop(heap)
+        loads[idx] = load + seg
+        heapq.heappush(heap, (loads[idx], idx))
+    return max(loads)
+
+
+class TestBitwiseAgainstOldBodies:
+    """The per-step pricing helpers return the same floats, bit for
+    bit, as the implementations they replaced."""
+
+    @pytest.mark.parametrize("tile_n", [64, 128])
+    @pytest.mark.parametrize("tp", [1, 2])
+    @pytest.mark.parametrize("model", ["mixtral-8x7b", "qwen2-moe"])
+    def test_segment_seconds_match_numpy_body(self, a100, tile_n, tp,
+                                              model):
+        from repro.kernels.ssmm_samoyeds import SamoyedsKernel
+        cfg = MODEL_REGISTRY[model]
+        kernel = SamoyedsKernel()
+        rng = np.random.default_rng(17)
+        memo_new: dict[int, float] = {}
+        memo_old: dict[int, float] = {}
+        for _ in range(12):
+            loads = rng.integers(0, 3000, size=cfg.num_experts)
+            loads[rng.random(cfg.num_experts) < 0.3] = 0
+            for shared in (None, "shared"):
+                new = segment_seconds_from_loads(
+                    cfg, loads, a100, kernel, tile_n, tp=tp,
+                    memo=memo_new if shared else None)
+                old = _numpy_segment_seconds(
+                    cfg, loads, a100, kernel, tile_n, tp=tp,
+                    memo=memo_old if shared else None)
+                assert new == old
+            assert segment_seconds_from_loads(
+                cfg, loads.tolist(), a100, kernel, tile_n,
+                tp=tp) == old
+        assert memo_new == memo_old
+        assert segment_seconds_from_loads(cfg, [], a100, kernel,
+                                          tile_n) == []
+
+    @pytest.mark.parametrize("streams", [1, 2, 3, 4])
+    def test_schedule_parallel_matches_heap(self, streams):
+        rng = np.random.default_rng(5)
+        for size in (0, 1, 3, 8, 60):
+            segments = (rng.random(size) * 1e-3).tolist()
+            segments[:size // 4] = [0.0] * (size // 4)
+            got = schedule_parallel(segments, streams).makespan_s
+            assert got == _heap_lpt_makespan(segments, streams)
+
+    @pytest.mark.parametrize("policy", ["round_robin", "balanced"])
+    @pytest.mark.parametrize("streams", [1, 2, 3, 4])
+    def test_device_makespans_match_heap(self, policy, streams):
+        from repro.moe.scheduler import device_makespans, place_experts
+        rng = np.random.default_rng(9)
+        for experts, ep in ((8, 2), (8, 4), (60, 4), (64, 8)):
+            profile = rng.random(experts).tolist()
+            placement = place_experts(experts, ep, policy=policy,
+                                      profile=profile)
+            segments = (rng.random(experts) * 1e-3).tolist()
+            want = [_heap_lpt_makespan(
+                        [segments[e] for e in range(experts)
+                         if placement.device_of[e] == device], streams)
+                    if device in placement.device_of else 0.0
+                    for device in range(ep)]
+            assert device_makespans(segments, placement,
+                                    streams) == want
+
+    def test_experts_by_device_partitions_in_expert_order(self):
+        from repro.moe.scheduler import place_experts
+        placement = place_experts(10, 3, policy="balanced",
+                                  profile=[float(e % 4) for e in
+                                           range(10)])
+        by_device = placement.experts_by_device
+        assert len(by_device) == 3
+        assert sorted(e for owned in by_device for e in owned) \
+            == list(range(10))
+        for device, owned in enumerate(by_device):
+            assert list(owned) == sorted(owned)
+            assert placement.experts_on(device) == owned
+        assert placement.experts_on(3) == ()

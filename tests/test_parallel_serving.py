@@ -128,6 +128,23 @@ class TestDeviceLedgers:
         with pytest.raises(ConfigError):
             self._ledgers(counts=[4, 2, 2])
 
+    def test_live_bytes_sums_each_device(self):
+        """The grid sums the shared KV term once: it still equals the
+        per-device footprints summed in device order."""
+        ledgers = self._ledgers(ParallelPlan(ep=2, tp=2), page_size=16)
+        for rid, prompt in enumerate((100, 37, 512)):
+            ledgers.admit(rid, prompt, prompt + 64)
+        ledgers.grow(1, 20)
+        assert ledgers.live_bytes == sum(led.live_bytes
+                                         for led in ledgers.ledgers)
+
+    def test_mixed_model_grid_rejected(self):
+        other = DeviceLedgers.create(
+            MODEL_REGISTRY["qwen2-moe"], "samoyeds",
+            [get_gpu("rtx4070s")] * 2, ParallelPlan(ep=2))
+        with pytest.raises(ConfigError, match="share one model"):
+            DeviceLedgers([self._ledgers().ledgers[0], other.ledgers[1]])
+
 
 class TestParallelServing:
     def test_trivial_plan_matches_single_gpu_report(self):

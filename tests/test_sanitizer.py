@@ -197,6 +197,17 @@ def test_healthy_paged_lifecycle_is_silent():
     ledger.assert_drained()
 
 
+def test_stale_reserved_total_detected():
+    inner = make_tracker()
+    ledger = SanitizedLedger(inner)
+    ledger.admit(1, 8, 12)
+    ledger.admit(2, 8, 12)
+    # The bug: a charge changes without invalidating the cached total.
+    inner._reserved[1] += 4096.0
+    with pytest.raises(SanitizerError, match="stale reserved total"):
+        ledger.grow(1)
+
+
 # ----------------------------------------------------------------------
 # Device grids: all-or-nothing
 # ----------------------------------------------------------------------
@@ -242,6 +253,16 @@ def test_grid_uneven_growth_detected():
     wrapped = SanitizedDeviceLedgers(buggy)
     wrapped.admit(1, 8, 12)
     with pytest.raises(SanitizerError, match="all-or-nothing growth"):
+        wrapped.grow(1)
+
+
+def test_grid_stale_reserved_total_detected():
+    wrapped = wrap_ledger(make_grid())
+    wrapped.admit(1, 8, 12)
+    wrapped.grow(1)                          # healthy: silent
+    device = wrapped.ledgers[1]._inner
+    device._reserved_bytes = device.reserved_bytes * 2   # stale cache
+    with pytest.raises(SanitizerError, match="stale reserved total"):
         wrapped.grow(1)
 
 
@@ -291,8 +312,7 @@ def test_memo_poisoning_detected():
 def test_component_memo_poisoning_detected():
     pricer = make_pricer(check_every=1)
     pricer.price(plan_for(1, 2))
-    time_s, dataflow_s = pricer._moe[2]  # poisoned component memo
-    pricer._moe[2] = (time_s * 2, dataflow_s)
+    pricer._moe[2] *= 2                  # poisoned component memo
     # A fresh step signature (different decode context) reprices
     # through the poisoned 2-token MoE component; the fresh re-price
     # computes it clean and diverges.
@@ -313,6 +333,53 @@ def test_check_every_samples():
     pricer._steps[key] = (99.0, 0.0, None)
     pricer.price(plan_for(1))            # unsampled: poison unnoticed
     assert pricer._priced_steps == 2
+
+
+STOCHASTIC = [{"parallel": "ep=2"}, {"streams": 2}]
+
+
+def stochastic_pricer(sanitize, **ctx_kw):
+    engine = ServingEngine(ctx=make_ctx(**ctx_kw), seed=5,
+                           routing_skew=0.8, sanitize=sanitize)
+    pricer = engine._pools[0].pricer
+    if sanitize:
+        pricer._check_every = 1
+    return pricer
+
+
+@pytest.mark.parametrize("ctx_kw", STOCHASTIC, ids=["ep", "streams"])
+def test_stochastic_repricing_leaves_the_rng_untouched(ctx_kw):
+    """Sampled stochastic steps are re-priced from a copy of the RNG
+    state: prices and the shared stream match an unsanitized pricer."""
+    plain = stochastic_pricer(False, **ctx_kw)
+    sanitized = stochastic_pricer(True, **ctx_kw)
+    assert sanitized.stochastic
+    for batch in (1, 3, 2, 5, 1):
+        plan = plan_for(*range(batch))
+        assert sanitized.price(plan) == plain.price(plan)
+        assert sanitized._rng.bit_generator.state \
+            == plain._rng.bit_generator.state
+    assert sanitized._priced_steps == 5
+
+
+@pytest.mark.parametrize("ctx_kw", STOCHASTIC, ids=["ep", "streams"])
+def test_stochastic_memo_poisoning_detected(ctx_kw):
+    pricer = stochastic_pricer(True, **ctx_kw)
+    pricer.price(plan_for(1, 2))
+    for memo in pricer._segments.values():   # poisoned segment memo
+        for n_e in memo:
+            memo[n_e] *= 2
+    with pytest.raises(SanitizerError, match="memo purity"):
+        pricer.price(plan_for(1, 2))
+
+
+@pytest.mark.parametrize("ctx_kw", STOCHASTIC, ids=["ep", "streams"])
+def test_stochastic_dataflow_poisoning_detected(ctx_kw):
+    pricer = stochastic_pricer(True, **ctx_kw)
+    pricer.price(plan_for(1, 2))
+    pricer._dataflow[2] *= 2                 # poisoned data-flow memo
+    with pytest.raises(SanitizerError, match="memo purity"):
+        pricer.price(plan_for(1, 2))
 
 
 # ----------------------------------------------------------------------

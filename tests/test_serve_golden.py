@@ -37,8 +37,9 @@ def _run(cls, ctx_args, ctx_kw, eng_kw, trace):
 
 # One fixture per serving surface: the plain continuous path (which
 # exercises the uneventful-decode fast path), paged preemption, LPT
-# stream overlap, auto dispatch, multi-device parallel serving, the
-# horizon cut, chunked prefill, static batching and a dense engine.
+# stream overlap, auto dispatch, multi-device parallel serving (also
+# paged, on two streams), the horizon cut, chunked prefill, static
+# batching and a dense engine.
 CASES = {
     "serve": dict(
         trace=dict(num_requests=40, rate_qps=60.0, seed=3),
@@ -103,6 +104,15 @@ CASES = {
                    prompt_tokens=2000, output_tokens=1000, jitter=0.2),
         ctx=("mixtral-8x7b", "vllm-ds", "rtx4070s"), ctx_kw={},
         eng=dict(num_layers=1, seed=7, page_size=16)),
+    # Paged KV over a device grid (``DeviceLedgers`` of
+    # ``BlockAllocator``s) under memory pressure that preempts, with
+    # skewed routing scheduled onto two streams per device.
+    "parallel-paged-streams": dict(
+        trace=dict(num_requests=60, rate_qps=400.0, seed=12,
+                   prompt_tokens=2000, output_tokens=600, jitter=0.9),
+        ctx=("mixtral-8x7b", "samoyeds", "rtx4070s"),
+        ctx_kw=dict(parallel="ep=2", streams=2, link="nvlink"),
+        eng=dict(num_layers=1, seed=41, page_size=16, routing_skew=0.9)),
     # ``auto`` through the fast path: long constant-batch decode runs,
     # tallied into the report's ``auto`` section.
     "auto-decode": dict(

@@ -3,7 +3,7 @@
 Two layers of the refactor carry numerical risk and are pinned here:
 
 * :func:`repro.moe.scheduler.segment_seconds_from_loads` now prices
-  expert segments through numpy over padded tile buckets — it must
+  expert segments through a persistent per-padded-shape memo — it must
   match the frozen scalar implementation
   (:func:`repro.serve._legacy_loop._reference_segment_seconds`)
   elementwise across randomized loads;
