@@ -12,6 +12,11 @@ regenerates the files with::
     PYTHONPATH=src python tests/test_cli_golden.py
 
 and must say why in the change that does it.
+
+The ``SERVE_REPORT_CASES`` pin only the list of serving reports a
+command produces (one per compared engine, or the single report), in
+``tests/golden/cli_serve_reports_<name>.json``, so an invocation can
+change form while the reports it yields stay byte-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import tempfile
 import pytest
 
 from repro.bench.cli import main
+from repro.bench.report import render_json
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
@@ -61,6 +67,20 @@ CASES = {
 }
 
 
+#: name -> argv of a serving run on a small trace whose report list is
+#: pinned.
+_SMALL_TRACE = ["--requests", "8", "--qps", "4", "--prompt-tokens", "128",
+                "--output-tokens", "4", "--layers", "2"]
+SERVE_REPORT_CASES = {
+    "engines": ["serve", "--engines", "samoyeds,vllm-ds", *_SMALL_TRACE],
+    "pools": ["serve", "--engines", "samoyeds",
+              "--pools", "pf:prefill:h100,dc:decode:w7900:vllm",
+              *_SMALL_TRACE],
+    "parallel": ["serve", "--engines", "samoyeds", "--parallel", "ep=2",
+                 *_SMALL_TRACE],
+}
+
+
 @contextlib.contextmanager
 def _case_cwd(config):
     """Run in the repo root, or in a scratch dir holding ``config``."""
@@ -89,6 +109,16 @@ def cli_stdout(name: str) -> "tuple[int, str]":
     return code, out.getvalue()
 
 
+def serve_reports(name: str) -> "tuple[int, str]":
+    """Exit code and the rendered report list of one serving case."""
+    out = io.StringIO()
+    with _case_cwd(None), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(SERVE_REPORT_CASES[name])
+    reports = json.loads(out.getvalue())["engines"] if code == 0 else []
+    return code, render_json(reports) + "\n"
+
+
 def _golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"cli_{name}.json")
 
@@ -102,10 +132,22 @@ def test_cli_stdout_matches_golden(name):
     assert out == golden
 
 
+@pytest.mark.parametrize("name", sorted(SERVE_REPORT_CASES))
+def test_serve_reports_match_golden(name):
+    with open(_golden_path(f"serve_reports_{name}"),
+              encoding="utf-8") as fh:
+        golden = fh.read()
+    code, out = serve_reports(name)
+    assert code == 0
+    assert out == golden
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for case in sorted(CASES):
-        code, text = cli_stdout(case)
+    outputs = {case: cli_stdout(case) for case in CASES}
+    outputs.update({f"serve_reports_{case}": serve_reports(case)
+                    for case in SERVE_REPORT_CASES})
+    for case, (code, text) in sorted(outputs.items()):
         if code != 0:
             sys.exit(f"{case}: exit {code}")
         with open(_golden_path(case), "w", encoding="utf-8") as fh:
