@@ -44,7 +44,7 @@ def main() -> None:
         cluster = report.cluster or {}
         weights = weight_bytes(config, "samoyeds", plan)
         print(f"  ep={ep}  {report.qps_sustained:6.2f} qps  "
-              f"ttft p50 {report.ttft_s['p50'] * 1e3:6.1f} ms  "
+              f"ttft p50 {report.ttft_s.p50 * 1e3:6.1f} ms  "
               f"weights/dev {weights / GIB:5.2f} GiB  "
               f"comm {cluster.get('comm_fraction', 0.0) * 100:4.1f}%")
 

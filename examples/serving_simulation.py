@@ -37,9 +37,9 @@ def main() -> None:
         report = Deployment(bursty.with_overrides(
             {"serving.batcher": batcher})).run()
         print(f"  {batcher:10s} {report.qps_sustained:5.2f} qps  "
-              f"ttft p50 {report.ttft_s['p50'] * 1e3:7.1f} ms  "
-              f"p99 {report.ttft_s['p99'] * 1e3:7.1f} ms  "
-              f"tpot p50 {report.tpot_s['p50'] * 1e3:6.2f} ms")
+              f"ttft p50 {report.ttft_s.p50 * 1e3:7.1f} ms  "
+              f"p99 {report.ttft_s.p99 * 1e3:7.1f} ms  "
+              f"tpot p50 {report.tpot_s.p50 * 1e3:6.2f} ms")
 
     # ------------------------------------------------------------------
     # All engines under identical Poisson traffic.
@@ -51,7 +51,7 @@ def main() -> None:
             {"model.engine": engine, "workload.qps": 3.0})).run()
         print(f"  {engine:12s} {report.qps_sustained:5.2f} qps  "
               f"{report.output_tokens_per_s:6.1f} tok/s  "
-              f"ttft p99 {report.ttft_s['p99'] * 1e3:8.1f} ms  "
+              f"ttft p99 {report.ttft_s.p99 * 1e3:8.1f} ms  "
               f"max concurrency {report.max_concurrency}")
 
     # ------------------------------------------------------------------
@@ -85,9 +85,9 @@ def main() -> None:
              "serving.page_size": 16})).run()
         print(f"  {engine:9s} conservative: "
               f"conc {reserved.max_concurrency:2d}"
-              f"  ttft p99 {reserved.ttft_s['p99'] * 1e3:7.1f} ms   "
+              f"  ttft p99 {reserved.ttft_s.p99 * 1e3:7.1f} ms   "
               f"paged+chunked: conc {paged.max_concurrency:2d}  "
-              f"ttft p99 {paged.ttft_s['p99'] * 1e3:7.1f} ms  "
+              f"ttft p99 {paged.ttft_s.p99 * 1e3:7.1f} ms  "
               f"preemptions {paged.preemptions}")
 
 

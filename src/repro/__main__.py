@@ -3,7 +3,7 @@
 ``repro bench <subcommand>`` forwards to :mod:`repro.bench.cli`, so the
 installed console script mirrors the module entry point::
 
-    repro bench serve --engines samoyeds,vllm --trace poisson
+    repro bench run --set 'sweep.model.engine=[samoyeds, vllm-ds]'
     python -m repro bench maxbatch --gpu a100
 
 ``repro list [kind]`` prints the plugin registries (engines, kernels,

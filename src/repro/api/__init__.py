@@ -35,6 +35,7 @@ from repro.api.spec import (
 )
 from repro.api.loader import (
     SweepPoint,
+    apply_set,
     expand_sweep,
     load_config,
     load_deployment,
@@ -52,6 +53,7 @@ __all__ = [
     "TenantSpec",
     "Deployment",
     "SweepPoint",
+    "apply_set",
     "expand_sweep",
     "load_config",
     "load_deployment",

@@ -73,16 +73,66 @@ def load_config(path: str | os.PathLike) -> dict[str, Any]:
     return raw
 
 
-def load_deployment(path: str | os.PathLike) -> DeploymentSpec:
-    """Load a single-run config file into a validated spec.
+def apply_set(raw: dict[str, Any], assignment: str) -> None:
+    """Merge one ``PATH=VALUE`` assignment into a raw config mapping.
 
-    Rejects files with a ``sweep`` section — those describe many
+    An assignment is one line of a config file: ``VALUE`` is parsed as
+    YAML and ``PATH`` is the dotted key that line sits under, so
+    ``workload.qps=8.0`` is ``workload: {qps: 8.0}``.  Below ``sweep``
+    the rest of the path is one axis, so
+    ``sweep.model.engine=[samoyeds, vllm-ds]`` adds the
+    ``model.engine`` axis.  Validation is left to
+    :meth:`DeploymentSpec.from_dict`.
+    """
+    path, sep, text = assignment.partition("=")
+    if not sep or not path:
+        raise ConfigError(f"{assignment}: expected PATH=VALUE, e.g. "
+                          f"workload.qps=8.0")
+    if yaml is None:
+        raise ConfigError(f"{path}: PATH=VALUE overrides need pyyaml "
+                          f"(pip install pyyaml)")
+    try:
+        value = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: invalid YAML value {text!r} "
+                          f"({getattr(exc, 'problem', exc)})") from None
+    head, _, axis = path.partition(".")
+    keys = [head, axis] if head == "sweep" and axis else path.split(".")
+    node = raw
+    for depth, key in enumerate(keys[:-1]):
+        child = node.get(key)
+        if child is None:               # absent, or a bare `key:` header
+            child = node[key] = {}
+        elif not isinstance(child, dict):
+            raise ConfigError(
+                f"{'.'.join(keys[:depth + 1])}: is a "
+                f"{type(child).__name__}, not a section to set "
+                f"{path} in")
+        node = child
+    node[keys[-1]] = value
+
+
+def _raw_config(source: "str | os.PathLike | Mapping[str, Any]"
+                ) -> tuple[dict[str, Any], str]:
+    """A private copy of the raw config mapping plus the prefix its
+    file-level errors carry (the path, or nothing for a mapping)."""
+    if isinstance(source, Mapping):
+        return dict(source), ""
+    return load_config(source), f"{os.fspath(source)}: "
+
+
+def load_deployment(source: "str | os.PathLike | Mapping[str, Any]"
+                    ) -> DeploymentSpec:
+    """Load a single-run config (a file path or a raw mapping) into a
+    validated spec.
+
+    Rejects configs with a ``sweep`` section — those describe many
     deployments; use :func:`load_sweep`.
     """
-    raw = load_config(path)
+    raw, where = _raw_config(source)
     if "sweep" in raw:
         raise ConfigError(
-            f"{os.fspath(path)}: config declares a sweep; use "
+            f"{where}sweep: declares a sweep of many deployments; use "
             f"load_sweep() (or `repro bench run`, which handles both)")
     return DeploymentSpec.from_dict(raw)
 
@@ -140,11 +190,12 @@ def expand_sweep(base: DeploymentSpec,
 _NO_SWEEP = object()                    # absent vs a bare `sweep:` key
 
 
-def load_sweep(path: str | os.PathLike
+def load_sweep(source: "str | os.PathLike | Mapping[str, Any]"
                ) -> tuple[DeploymentSpec, list[SweepPoint]]:
-    """Load any config file: base spec plus its expanded grid.
+    """Load any config (a file path or a raw mapping): base spec plus
+    its expanded grid.
 
-    A file without a ``sweep`` section yields exactly one point with
+    A config without a ``sweep`` section yields exactly one point with
     empty ``overrides`` (the base spec), so callers can treat every
     config uniformly — and can tell the two shapes apart, since an
     expanded sweep point always carries at least one override.  A
@@ -152,15 +203,15 @@ def load_sweep(path: str | os.PathLike
     or ``sweep: {}``) is an error, not a silent single run: it usually
     means the axes were commented out by accident.
     """
-    raw = load_config(path)
+    raw, where = _raw_config(source)
     sweep = raw.pop("sweep", _NO_SWEEP)
     base = DeploymentSpec.from_dict(raw)
     if sweep is _NO_SWEEP:
         return base, [SweepPoint(overrides=(), spec=base)]
     if sweep is None:
         raise ConfigError(
-            f"{os.fspath(path)}: sweep: declares no axes (remove the "
-            f"key for a single run)")
+            f"{where}sweep: declares no axes (remove the key for a "
+            f"single run)")
     return base, expand_sweep(base, sweep)
 
 

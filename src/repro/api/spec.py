@@ -32,7 +32,7 @@ from repro.errors import ConfigError, ReproError, RoutingError
 from repro.hw.interconnect import LINK_REGISTRY, ParallelPlan
 from repro.hw.spec import GPU_REGISTRY
 from repro.moe.config import MODEL_REGISTRY
-from repro.moe.layers import ENGINES
+from repro.moe.layers import ENGINE_ALIASES, ENGINES
 from repro.moe.trace import validate_skew
 from repro.serve.batcher import BATCHER_NAMES
 from repro.serve.disagg.pools import PoolSpec, validate_pools
@@ -43,10 +43,6 @@ from repro.workloads.registry import WORKLOADS
 from repro.workloads.tenants import TenantSpec, validate_tenants
 
 import repro.registry.selector  # noqa: F401  (registers engine "auto")
-
-#: Friendly engine aliases accepted anywhere an engine is named (specs
-#: and the ``serve --engines`` flag; the CLI re-exports this map).
-ENGINE_ALIASES = {"vllm": "vllm-ds", "hf": "transformers"}
 
 #: Expert-placement policies (mirrors ``moe.scheduler.place_experts``).
 PLACEMENT_POLICIES = ("balanced", "round_robin")
@@ -347,9 +343,6 @@ class ServingSpec(_SpecBase):
                     _fail(f"serving.pools[{i}]",
                           f"must be a mapping, got "
                           f"{type(entry).__name__}")
-                entry = dict(entry)
-                if entry.get("engine") in ENGINE_ALIASES:
-                    entry["engine"] = ENGINE_ALIASES[entry["engine"]]
                 try:
                     decoded.append(PoolSpec.from_dict(entry))
                 except ConfigError as exc:

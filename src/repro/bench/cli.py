@@ -7,17 +7,17 @@ Subcommands:
 * ``tune --m --k --n [--gpu]`` — autotune the Samoyeds kernel;
 * ``roofline --m --k --n [--gpu]`` — place every kernel on the roofline;
 * ``maxbatch [--gpu] [--seq]`` — Table-3 style memory report;
-* ``serve --engines a,b --trace poisson`` — continuous-batching serving
-  simulation comparing engines under identical traffic (JSON report);
-  ``--parallel ep=4,tp=2`` shards the server over a device grid;
-* ``scale --devices 1,2,4,8`` — strong/weak scaling sweep over device
-  counts (QPS, TTFT/TPOT and communication fraction per point);
-* ``disagg config.yaml --splits 1:1,2:1`` — pool-split sweep over a
+* ``run [config] [--set PATH=VALUE ...]`` — execute one deployment or
+  a ``sweep:`` grid (see :mod:`repro.api`); comparing engines under
+  identical traffic is ``--set 'sweep.model.engine=[samoyeds,
+  vllm-ds]'``, since every point rebuilds the same seeded trace;
+* ``scale [config] --devices 1,2,4,8`` — strong/weak scaling sweep of
+  the config's deployment over device counts (QPS, TTFT/TPOT and
+  communication fraction per point);
+* ``disagg [config] --splits 1:1,2:1`` — pool-split sweep over a
   disaggregated config: each point replicates the config's
   prefill/decode pool templates, charting TTFT/TPOT against the split
   next to a colocated reference row;
-* ``run config.yaml`` — execute a declarative deployment config file
-  (single run or ``sweep:`` grid; see :mod:`repro.api`);
 * ``sim [--quick] [--check baseline.json]`` — benchmark the simulator
   itself: replay a synthetic trace through the event-calendar core and
   the frozen pre-calendar loop, reserved, paged, ``auto`` and ``ep``, emit
@@ -38,10 +38,11 @@ infeasible point becomes an ``error`` entry.  A crashed point (a bug,
 not infeasibility) keeps its grid position too, but the command exits
 1 (see :mod:`repro.exec`).
 
-``serve`` and ``scale`` are thin shims over
-:class:`repro.api.DeploymentSpec`: every flag maps to a spec field (the
-DESIGN.md migration table lists the pairs), and ``run`` executes the
-same specs straight from YAML/JSON files.
+``run``, ``scale`` and ``disagg`` describe a deployment one way: an
+optional YAML/JSON config file (no file means all spec defaults) plus
+repeatable ``--set PATH=VALUE`` overrides, each one line of that file
+(``--set workload.qps=8.0``; see :func:`repro.api.loader.apply_set`).
+No flag of theirs names a spec field.
 """
 
 from __future__ import annotations
@@ -51,16 +52,15 @@ import os
 import sys
 import tempfile
 
-from repro.api.spec import ENGINE_ALIASES  # canonical alias map
 from repro.bench.figures import EXPERIMENTS, run_experiment
 from repro.bench.report import render_json, render_table
 from repro.errors import CapacityError, ConfigError
-from repro.hw.interconnect import list_links
 from repro.hw.roofline import place, render
 from repro.hw.spec import get_gpu, list_gpus
 from repro.kernels import KERNELS
 from repro.kernels.autotuner import tune
 from repro.moe.config import MODEL_REGISTRY
+from repro.moe.layers import ENGINE_ALIASES
 from repro.moe.memory_model import max_batch_size
 from repro.utils.rng import DEFAULT_SEED
 from repro.utils.units import format_seconds
@@ -77,11 +77,34 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=4096)
 
 
-def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
+def _add_spec_args(parser: argparse.ArgumentParser) -> None:
+    """The deployment arguments of ``run``, ``scale`` and ``disagg``."""
+    parser.add_argument("config", nargs="?", default=None,
+                        help="YAML/JSON deployment config (see "
+                             "examples/configs; default: all spec "
+                             "defaults)")
+    parser.add_argument("--set", dest="sets", action="append",
+                        default=[], metavar="PATH=VALUE",
+                        help="one config line as a dotted path, e.g. "
+                             "workload.qps=8.0 or 'sweep.model.engine="
+                             "[samoyeds, vllm-ds]'; repeatable, applied "
+                             "in order over the config file")
+    parser.add_argument("--output", default=None,
+                        help="write the JSON report here instead of stdout")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for sweep points "
                              "(1 = in-process; payloads are "
                              "byte-identical either way)")
+
+
+def _config_mapping(args: argparse.Namespace) -> dict:
+    """The config file's raw mapping with every ``--set`` merged in."""
+    from repro.api.loader import apply_set, load_config
+
+    raw = load_config(args.config) if args.config else {}
+    for assignment in args.sets:
+        apply_set(raw, assignment)
+    return raw
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -157,142 +180,6 @@ def cmd_maxbatch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pools(raw: str) -> list[dict[str, str]]:
-    """Parse the ``--pools`` flag: comma-separated
-    ``name:role[:gpu[:engine]]`` entries, e.g.
-    ``pf:prefill:h100,dc:decode:w7900:vllm``.  Omitted gpu/engine
-    inherit the deployment defaults; full validation happens in
-    :class:`~repro.serve.disagg.PoolSpec` with path-qualified errors.
-    """
-    pools = []
-    for entry in raw.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        parts = entry.split(":")
-        if len(parts) < 2 or len(parts) > 4:
-            raise ConfigError(
-                f"bad --pools entry {entry!r}; expected "
-                f"name:role[:gpu[:engine]]")
-        pool: dict[str, str] = {"name": parts[0], "role": parts[1]}
-        if len(parts) > 2 and parts[2]:
-            pool["gpu"] = parts[2]
-        if len(parts) > 3 and parts[3]:
-            pool["engine"] = ENGINE_ALIASES.get(parts[3], parts[3])
-        pools.append(pool)
-    if not pools:
-        raise ConfigError("--pools must name at least one pool")
-    return pools
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.api import Deployment, DeploymentSpec
-    from repro.errors import ReproError
-    from repro.hw.interconnect import parse_parallel
-    from repro.moe.layers import ENGINES
-    from repro.serve.metrics import REPORT_HEADERS
-
-    try:
-        plan = parse_parallel(args.parallel)
-    except ConfigError as exc:
-        print(f"repro bench serve: bad --parallel: {exc}", file=sys.stderr)
-        return 2
-    if plan.dp > 1:
-        # Usage error, not per-engine infeasibility: replicas serve
-        # disjoint streams, so simulate them as separate invocations.
-        print("repro bench serve: --parallel dp>1 is not served by one "
-              "engine; run one serve per replica", file=sys.stderr)
-        return 2
-    engines = []
-    for raw in args.engines.split(","):
-        name = ENGINE_ALIASES.get(raw.strip(), raw.strip())
-        if name not in ENGINES:
-            known = ", ".join([*ENGINES, *ENGINE_ALIASES])
-            print(f"repro bench serve: unknown engine {raw.strip()!r}; "
-                  f"known: {known}", file=sys.stderr)
-            return 2
-        if name not in engines:       # aliases can collide (vllm,vllm-ds)
-            engines.append(name)
-    if args.page_size < 0:
-        # A bad flag is a usage error, not per-engine infeasibility.
-        print("repro bench serve: --page-size must be >= 0",
-              file=sys.stderr)
-        return 2
-    workload_kind = args.workload or args.trace
-    try:
-        base = DeploymentSpec.from_dict({
-            "model": {"name": args.model, "num_layers": args.layers},
-            "hardware": {"gpu": args.gpu, "link": args.link,
-                         "parallel": plan, "streams": args.streams},
-            "serving": {"batcher": args.batcher,
-                        "token_budget": args.token_budget,
-                        "batch_size": args.batch_size,
-                        "page_size": args.page_size or None,
-                        "placement": args.placement,
-                        "horizon_s": args.horizon,
-                        "scheduler": args.scheduler,
-                        "sanitize": args.sanitize,
-                        # Disagg keys only when --pools is given, so
-                        # colocated spec payloads keep their shape.
-                        **({"pools": _parse_pools(args.pools),
-                            "router": args.router,
-                            "transfer_link": args.transfer_link}
-                           if args.pools else {})},
-            "workload": {"kind": workload_kind,
-                         "requests": args.requests,
-                         "qps": args.qps,
-                         "prompt_tokens": args.prompt_tokens,
-                         "output_tokens": args.output_tokens,
-                         "eos_sampling": args.eos_sampling,
-                         "seed": args.seed,
-                         "trace_path": args.trace_path},
-        })
-        # One trace serves every engine: identical traffic per engine.
-        trace = Deployment(base).build_trace()
-    except ConfigError as exc:
-        print(f"repro bench serve: invalid configuration: {exc}",
-              file=sys.stderr)
-        return 2
-
-    reports = []
-    rows = []
-    for name in engines:
-        deployment = Deployment(
-            base.with_overrides({"model.engine": name}))
-        try:
-            report = deployment.run(trace)
-        except ReproError as exc:
-            print(f"# {name}: infeasible ({exc})", file=sys.stderr)
-            reports.append({"engine": name, "error": str(exc)})
-            continue
-        reports.append(report.to_dict())
-        rows.append(report.summary_row())
-    if rows:
-        print(render_table(
-            REPORT_HEADERS, rows,
-            title=(f"{args.model} on {args.gpu}: {workload_kind} "
-                   f"trace, {args.requests} requests at {args.qps} "
-                   f"QPS")),
-            file=sys.stderr)
-    payload = {
-        "model": args.model,
-        "gpu": args.gpu,
-        "trace": workload_kind,
-        "qps_offered": args.qps,
-        "requests": args.requests,
-        "seed": args.seed,
-        "batcher": args.batcher,
-        "page_size": args.page_size,
-        "eos_sampling": args.eos_sampling,
-        # Single-GPU payloads stay byte-identical to the pre-cluster
-        # format: the parallel section appears only for device grids.
-        **({"parallel": plan.to_dict(), "link": args.link}
-           if not plan.is_trivial else {}),
-        "engines": reports,
-    }
-    return _emit(payload, args.output)
-
-
 def _progress_line(result, done: int, total: int) -> None:
     """One stderr line per completed sweep point, followed by the
     traceback of a crashed one."""
@@ -339,38 +226,18 @@ def _emit(payload: dict, output: "str | None", results=()) -> int:
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    from repro.api import DeploymentSpec
+    from repro.api.loader import load_deployment
     from repro.serve.metrics import ServeReport
 
-    if args.mode not in ("ep", "tp"):
-        print("repro bench scale: --mode must be ep or tp",
-              file=sys.stderr)
-        return 2
     try:
         devices = [int(d) for d in args.devices.split(",") if d.strip()]
     except ValueError:
-        print(f"repro bench scale: bad --devices {args.devices!r}; "
-              f"expected a comma-separated list of ints", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--devices {args.devices!r}: expected a "
+                          f"comma-separated list of ints") from None
     if not devices or any(d <= 0 for d in devices):
-        print("repro bench scale: device counts must be positive",
-              file=sys.stderr)
-        return 2
-    try:
-        base = DeploymentSpec.from_dict({
-            "model": {"name": args.model, "engine": args.engine,
-                      "num_layers": args.layers},
-            "hardware": {"gpu": args.gpu, "link": args.link},
-            "serving": {"horizon_s": args.horizon},
-            "workload": {"requests": args.requests, "qps": args.qps,
-                         "prompt_tokens": args.prompt_tokens,
-                         "output_tokens": args.output_tokens,
-                         "seed": args.seed},
-        })
-    except ConfigError as exc:
-        print(f"repro bench scale: invalid configuration: {exc}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("--devices: device counts must be positive")
+    base = load_deployment(_config_mapping(args))
+    workload = base.workload
 
     # One point per (count, series); weak scaling multiplies the load
     # by the device count, so at one device it is the strong point.
@@ -381,8 +248,8 @@ def cmd_scale(args: argparse.Namespace) -> int:
                 continue
             specs.append(base.with_overrides({
                 "hardware.parallel": f"{args.mode}={count}",
-                "workload.requests": args.requests * factor,
-                "workload.qps": args.qps * factor,
+                "workload.requests": workload.requests * factor,
+                "workload.qps": workload.qps * factor,
             }))
             labels.append(f"{count} devices ({series})")
             meta.append((series, pos, count, factor))
@@ -399,7 +266,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         table[(series, pos)] = {
             "devices": count,
             "parallel": spec.hardware.parallel.describe(),
-            "qps_offered": args.qps * factor,
+            "qps_offered": workload.qps * factor,
             "completed": report.completed,
             "qps_sustained": report.qps_sustained,
             "output_tokens_per_s": report.output_tokens_per_s,
@@ -415,14 +282,14 @@ def cmd_scale(args: argparse.Namespace) -> int:
     # Speedups are only meaningful relative to the smallest swept device
     # count; if that point errored, print "-" rather than rebasing.
     smallest = min(strong, key=lambda p: p["devices"]) if strong else None
-    base = smallest if smallest and "error" not in smallest else None
+    ref = smallest if smallest and "error" not in smallest else None
     rows = []
     for s, w in zip(strong, weak):
         if "error" in s:
             rows.append([s["devices"], "-", "-", "-", "-", "-"])
             continue
-        speedup = ("-" if base is None or not base["qps_sustained"]
-                   else f"{s['qps_sustained'] / base['qps_sustained']:.2f}x")
+        speedup = ("-" if ref is None or not ref["qps_sustained"]
+                   else f"{s['qps_sustained'] / ref['qps_sustained']:.2f}x")
         rows.append([s["devices"],
                      f"{s['qps_sustained']:.2f}",
                      speedup,
@@ -434,18 +301,19 @@ def cmd_scale(args: argparse.Namespace) -> int:
         ["devices", "strong qps", "speedup", "weak qps", "ttft p50 ms",
          "comm"],
         rows,
-        title=(f"{args.model}/{args.engine} {args.mode} scaling on "
-               f"{args.gpu} over {args.link}")), file=sys.stderr)
+        title=(f"{base.model.name}/{base.model.engine} {args.mode} "
+               f"scaling on {base.hardware.gpu} over "
+               f"{base.hardware.link}")), file=sys.stderr)
 
     payload = {
-        "model": args.model,
-        "engine": args.engine,
-        "gpu": args.gpu,
+        "model": base.model.name,
+        "engine": base.model.engine,
+        "gpu": base.hardware.gpu,
         "mode": args.mode,
-        "link": args.link,
-        "qps_offered": args.qps,
-        "requests": args.requests,
-        "seed": args.seed,
+        "link": base.hardware.link,
+        "qps_offered": workload.qps,
+        "requests": workload.requests,
+        "seed": workload.seed,
         "strong": strong,
         "weak": weak,
     }
@@ -457,14 +325,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.serve.metrics import REPORT_HEADERS, ServeReport
 
-    try:
-        base, points = load_sweep(args.config)
-    except ConfigError as exc:
-        print(f"repro bench run: {exc}", file=sys.stderr)
-        return 2
-
+    base, points = load_sweep(_config_mapping(args))
     title = (f"{base.model.name} on {base.hardware.gpu} "
-             f"({args.config})")
+             f"({args.config or 'spec defaults'})")
     # A no-sweep config loads as exactly one override-free point.
     if len(points) == 1 and not points[0].overrides:
         # Single run: the payload IS the report, so the JSON stays
@@ -513,25 +376,18 @@ def cmd_disagg(args: argparse.Namespace) -> int:
     from repro.api.loader import load_deployment
     from repro.serve.metrics import ServeReport
 
-    try:
-        base = load_deployment(args.config)
-    except ConfigError as exc:
-        print(f"repro bench disagg: {exc}", file=sys.stderr)
-        return 2
+    base = load_deployment(_config_mapping(args))
     pools = base.serving.pools
     if not pools:
-        print("repro bench disagg: config must declare serving.pools "
-              "(a prefill and a decode pool template to replicate)",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("serving.pools: the pool-split sweep needs a "
+                          "prefill and a decode pool template to "
+                          "replicate")
     prefill = [p for p in pools if p.role == "prefill"]
     decode = [p for p in pools if p.role == "decode"]
     if not prefill or not decode or len(prefill) + len(decode) != len(pools):
-        print("repro bench disagg: the pool-split sweep needs pure "
-              "role=prefill and role=decode pool templates "
-              "(role=both pools cannot be split by phase)",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("serving.pools: the pool-split sweep needs pure "
+                          "role=prefill and role=decode pool templates "
+                          "(role=both pools cannot be split by phase)")
     splits: list[tuple[int, int]] = []
     for entry in args.splits.split(","):
         entry = entry.strip()
@@ -544,15 +400,11 @@ def cmd_disagg(args: argparse.Namespace) -> int:
         except ValueError:
             np_ = nd = None
         if np_ is None or nd is None or np_ < 1 or nd < 1:
-            print(f"repro bench disagg: bad --splits entry {entry!r}; "
-                  f"expected prefill:decode counts like 2:1",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError(f"--splits entry {entry!r}: expected "
+                              f"prefill:decode counts like 2:1")
         splits.append((np_, nd))
     if not splits:
-        print("repro bench disagg: --splits named no split",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("--splits: names no split")
 
     def replicate(template, count: int) -> list[dict[str, object]]:
         if count == 1:
@@ -737,108 +589,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gpu_arg(p)
     p.set_defaults(fn=cmd_maxbatch)
 
-    p = sub.add_parser("serve",
-                       help="continuous-batching serving simulation")
-    p.add_argument("--model", default="mixtral-8x7b",
-                   choices=sorted(MODEL_REGISTRY))
-    p.add_argument("--engines", default="samoyeds,vllm-ds",
-                   help="comma-separated engines (vllm = vllm-ds)")
-    p.add_argument("--trace", default="poisson",
-                   choices=["poisson", "bursty"],
-                   help="legacy workload alias (see --workload)")
-    p.add_argument("--workload", default=None,
-                   help="workload kind from the WORKLOADS registry "
-                        "(see `repro list workloads`); overrides "
-                        "--trace")
-    p.add_argument("--trace-path", default=None,
-                   help="CSV trace file for --workload trace")
-    p.add_argument("--scheduler", default="youngest_first",
-                   choices=["youngest_first", "priority_slack"],
-                   help="preemption/queue policy (priority_slack "
-                        "needs workload tenants, so it matters only "
-                        "with config-driven runs or tenant traces)")
-    p.add_argument("--qps", type=float, default=2.0,
-                   help="offered load in requests/second")
-    p.add_argument("--requests", type=int, default=48)
-    p.add_argument("--prompt-tokens", type=int, default=512)
-    p.add_argument("--output-tokens", type=int, default=32)
-    p.add_argument("--batcher", default="continuous",
-                   choices=["continuous", "chunked", "static"])
-    p.add_argument("--token-budget", type=int, default=4096,
-                   help="continuous/chunked batcher per-step token budget")
-    p.add_argument("--batch-size", type=int, default=8,
-                   help="static batcher batch size")
-    p.add_argument("--page-size", type=int, default=0,
-                   help="KV-cache page size in tokens; enables paged "
-                        "admission with preemption (0 = conservative "
-                        "whole-request reservation)")
-    p.add_argument("--eos-sampling", action="store_true",
-                   help="geometric EOS-sampled output lengths instead "
-                        "of the uniform jitter band (seeded)")
-    p.add_argument("--layers", type=int, default=None,
-                   help="decoder layers per step (default: model's)")
-    p.add_argument("--streams", type=int, default=1,
-                   help="expert-segment streams (LPT overlap when > 1)")
-    p.add_argument("--parallel", default=None,
-                   help="device-parallel plan, e.g. ep=4,tp=2 "
-                        "(default: single GPU)")
-    p.add_argument("--link", default="nvlink", choices=list_links(),
-                   help="interconnect joining the device grid")
-    p.add_argument("--placement", default="balanced",
-                   choices=["balanced", "round_robin"],
-                   help="expert-to-device placement policy")
-    p.add_argument("--horizon", type=float, default=None,
-                   help="stop serving at this clock (seconds); "
-                        "in-flight requests stay unfinished")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run under the sim-sanitizer's runtime "
-                        "invariant checks (same as REPRO_SANITIZE=1); "
-                        "the report is byte-identical")
-    p.add_argument("--pools", default=None,
-                   help="disaggregated prefill/decode pools as "
-                        "name:role[:gpu[:engine]] entries, e.g. "
-                        "pf:prefill:h100,dc:decode:w7900:vllm "
-                        "(default: colocated serving)")
-    p.add_argument("--router", default="round_robin",
-                   help="pool-assignment policy with --pools "
-                        "(see `repro list routers`)")
-    p.add_argument("--transfer-link", default="pcie4",
-                   choices=list_links(),
-                   help="link pricing the prefill->decode KV "
-                        "migration with --pools (zero-copy = free)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--output", default=None,
-                   help="write the JSON report here instead of stdout")
-    _add_gpu_arg(p)
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("scale",
-                       help="strong/weak scaling sweep over device counts")
-    p.add_argument("--model", default="mixtral-8x7b",
-                   choices=sorted(MODEL_REGISTRY))
-    p.add_argument("--engine", default="samoyeds",
-                   help="engine to scale (default: samoyeds)")
+    p = sub.add_parser(
+        "scale", help="strong/weak scaling sweep of a deployment over "
+                      "device counts (preset: examples/configs/"
+                      "scale.yaml)")
+    _add_spec_args(p)
     p.add_argument("--mode", default="ep", choices=["ep", "tp"],
                    help="which parallel degree the device count drives")
     p.add_argument("--devices", default="1,2,4,8",
-                   help="comma-separated device counts to sweep")
-    p.add_argument("--link", default="nvlink", choices=list_links(),
-                   help="interconnect joining the device grid")
-    p.add_argument("--qps", type=float, default=16.0,
-                   help="offered load at one device (weak scaling "
-                        "multiplies it by the device count)")
-    p.add_argument("--requests", type=int, default=32)
-    p.add_argument("--prompt-tokens", type=int, default=512)
-    p.add_argument("--output-tokens", type=int, default=16)
-    p.add_argument("--layers", type=int, default=None,
-                   help="decoder layers per step (default: model's)")
-    p.add_argument("--horizon", type=float, default=None,
-                   help="per-point serving horizon in seconds")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--output", default=None,
-                   help="write the JSON report here instead of stdout")
-    _add_jobs_arg(p)
-    _add_gpu_arg(p)
+                   help="comma-separated device counts to sweep (weak "
+                        "scaling multiplies workload.requests and "
+                        "workload.qps by the count)")
     p.set_defaults(fn=cmd_scale)
 
     p = sub.add_parser(
@@ -847,26 +608,16 @@ def build_parser() -> argparse.ArgumentParser:
              "its prefill/decode pool templates per --splits point and "
              "chart TTFT/TPOT against the split, with a colocated "
              "reference row")
-    p.add_argument("config",
-                   help="deployment config with serving.pools "
-                        "templates (see examples/configs/"
-                        "disagg_pools.yaml)")
+    _add_spec_args(p)
     p.add_argument("--splits", default="1:1,2:1,1:2",
                    help="comma-separated prefill:decode pool counts "
                         "(default: 1:1,2:1,1:2)")
-    p.add_argument("--output", default=None,
-                   help="write the JSON report here instead of stdout")
-    _add_jobs_arg(p)
     p.set_defaults(fn=cmd_disagg)
 
     p = sub.add_parser(
-        "run", help="execute a deployment config file (YAML/JSON; "
-                    "single run or sweep grid)")
-    p.add_argument("config",
-                   help="path to the config file (see examples/configs)")
-    p.add_argument("--output", default=None,
-                   help="write the JSON report here instead of stdout")
-    _add_jobs_arg(p)
+        "run", help="execute a deployment (YAML/JSON config plus --set "
+                    "overrides; single run or sweep grid)")
+    _add_spec_args(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser(
@@ -934,7 +685,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"repro bench {args.command}: --jobs must be >= 1",
               file=sys.stderr)
         return 2
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        # Bad input is a usage error with a path-qualified message.
+        print(f"repro bench {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

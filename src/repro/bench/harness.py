@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.context import ExecutionContext
 from repro.errors import ReproError
 from repro.hw.spec import GPUSpec, get_gpu
 from repro.kernels import KERNELS
@@ -28,24 +27,11 @@ class KernelRow:
         return self.seconds[over] / self.seconds[kernel]
 
 
-def kernel_sweep(cases: list[GemmCase], spec: GPUSpec | ExecutionContext,
+def kernel_sweep(cases: list[GemmCase], spec: GPUSpec,
                  kernels: dict[str, MatmulKernel] | None = None,
                  configs: dict[str, TilingConfig] | None = None
                  ) -> list[KernelRow]:
-    """Run every kernel cost model over every case.
-
-    ``spec`` may be an :class:`~repro.context.ExecutionContext`; its
-    device is used, and a pinned kernel/tiling choice (the §6.6 porting
-    protocol) narrows the sweep to that kernel unless ``kernels`` is
-    given explicitly.
-    """
-    if isinstance(spec, ExecutionContext):
-        ctx = spec
-        spec = ctx.spec
-        if kernels is None and ctx.kernel is not None:
-            kernels = {ctx.kernel.name: ctx.kernel}
-            if configs is None and ctx.tiling is not None:
-                configs = {ctx.kernel.name: ctx.tiling}
+    """Run every kernel cost model over every case."""
     kernels = kernels or KERNELS
     rows = []
     for case in cases:

@@ -504,6 +504,9 @@ class SamoyedsEngine(MoEEngine):
 #: :mod:`repro.registry.selector`, which :mod:`repro.moe` imports.
 ENGINES: Registry[MoEEngine] = Registry("engine")
 
+#: Friendly engine aliases accepted anywhere a spec names an engine.
+ENGINE_ALIASES = {"vllm": "vllm-ds", "hf": "transformers"}
+
 
 def register_engine(engine: MoEEngine,
                     replace: bool = False) -> MoEEngine:

@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 from repro.errors import ConfigError
 from repro.hw.interconnect import ParallelPlan, parse_parallel
 from repro.hw.spec import get_gpu
-from repro.moe.layers import ENGINES
+from repro.moe.layers import ENGINE_ALIASES, ENGINES
 from repro.serve.batcher import BATCHER_NAMES
 
 #: Phase roles a pool can serve.  ``both`` is the colocated role: a
@@ -42,7 +42,8 @@ class PoolSpec:
         role: Phase(s) served — ``prefill``, ``decode`` or ``both``.
         gpu: Device registry name; ``None`` inherits the deployment's
             ``hardware.gpu``.
-        engine: Engine registry name for this pool; ``None`` inherits
+        engine: Engine registry name for this pool (aliases
+            ``vllm``/``hf`` accepted); ``None`` inherits
             ``model.engine``.  Mixed pools (e.g. a sparse-tensor-core
             engine on prefill, a dense one on decode) are the point.
         parallel: Per-pool parallel plan in ``ep=4,tp=2`` syntax;
@@ -83,6 +84,9 @@ class PoolSpec:
                 get_gpu(self.gpu)
             except Exception as exc:
                 raise ConfigError(f"gpu: {exc}") from exc
+        if self.engine in ENGINE_ALIASES:     # normalise to canonical
+            object.__setattr__(self, "engine",
+                               ENGINE_ALIASES[self.engine])
         if self.engine is not None:
             try:
                 ENGINES.get(self.engine)

@@ -49,9 +49,7 @@ class PercentileSummary:
     """Typed p50/p90/p99/mean/max block of one metric.
 
     Replaces the raw ``dict[str, float]`` blocks the report used to
-    carry.  ``to_dict()`` emits the exact legacy key order, and the
-    mapping protocol (``summary["p50"]``, ``dict(summary)``) keeps the
-    dict-shaped call sites working unchanged.
+    carry.  ``to_dict()`` emits the exact legacy key order.
     """
 
     p50: float
@@ -91,33 +89,6 @@ class PercentileSummary:
     def to_dict(self) -> dict[str, float]:
         """JSON payload, byte-identical to the legacy dict blocks."""
         return {key: getattr(self, key) for key in self._KEYS}
-
-    # -- mapping protocol (legacy call sites treat blocks as dicts) ----
-    def keys(self) -> tuple[str, ...]:
-        return self._KEYS
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(getattr(self, key) for key in self._KEYS)
-
-    def items(self) -> tuple[tuple[str, float], ...]:
-        return tuple((key, getattr(self, key)) for key in self._KEYS)
-
-    def get(self, key: str, default: object = None) -> object:
-        return getattr(self, key) if key in self._KEYS else default
-
-    def __getitem__(self, key: str) -> float:
-        if key not in self._KEYS:
-            raise KeyError(key)
-        return float(getattr(self, key))
-
-    def __iter__(self):
-        return iter(self._KEYS)
-
-    def __len__(self) -> int:
-        return len(self._KEYS)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._KEYS
 
 
 @dataclass

@@ -61,23 +61,28 @@ CASES = {
          "--splits", "1:1,2:1"], None),
     # The CI scaling smoke's arguments.
     "scale_smoke": (
-        ["scale", "--devices", "1,2", "--requests", "8", "--qps", "40",
-         "--prompt-tokens", "128", "--output-tokens", "4",
-         "--layers", "2"], None),
+        ["scale", "examples/configs/scale.yaml", "--devices", "1,2",
+         "--set", "workload.requests=8", "--set", "workload.qps=40.0",
+         "--set", "workload.prompt_tokens=128",
+         "--set", "workload.output_tokens=4",
+         "--set", "model.num_layers=2"], None),
 }
 
 
 #: name -> argv of a serving run on a small trace whose report list is
 #: pinned.
-_SMALL_TRACE = ["--requests", "8", "--qps", "4", "--prompt-tokens", "128",
-                "--output-tokens", "4", "--layers", "2"]
+_SMALL_TRACE = ["--set", "workload.requests=8", "--set", "workload.qps=4.0",
+                "--set", "workload.prompt_tokens=128",
+                "--set", "workload.output_tokens=4",
+                "--set", "model.num_layers=2"]
 SERVE_REPORT_CASES = {
-    "engines": ["serve", "--engines", "samoyeds,vllm-ds", *_SMALL_TRACE],
-    "pools": ["serve", "--engines", "samoyeds",
-              "--pools", "pf:prefill:h100,dc:decode:w7900:vllm",
-              *_SMALL_TRACE],
-    "parallel": ["serve", "--engines", "samoyeds", "--parallel", "ep=2",
-                 *_SMALL_TRACE],
+    "engines": ["run", *_SMALL_TRACE,
+                "--set", "sweep.model.engine=[samoyeds, vllm-ds]"],
+    "pools": ["run", *_SMALL_TRACE,
+              "--set", "serving.pools=[{name: pf, role: prefill, gpu: h100},"
+                       " {name: dc, role: decode, gpu: w7900,"
+                       " engine: vllm}]"],
+    "parallel": ["run", *_SMALL_TRACE, "--set", "hardware.parallel=ep=2"],
 }
 
 
@@ -115,7 +120,10 @@ def serve_reports(name: str) -> "tuple[int, str]":
     with _case_cwd(None), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(SERVE_REPORT_CASES[name])
-    reports = json.loads(out.getvalue())["engines"] if code == 0 else []
+    payload = json.loads(out.getvalue()) if code == 0 else {}
+    # A sweep's point reports, or the single run's report.
+    reports = ([entry["report"] for entry in payload["sweep"]]
+               if "sweep" in payload else [payload])
     return code, render_json(reports) + "\n"
 
 

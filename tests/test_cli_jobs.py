@@ -21,9 +21,11 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..",
 CLUSTER_SWEEP = os.path.join(CONFIG_DIR, "cluster_sweep.yaml")
 DISAGG_POOLS = os.path.join(CONFIG_DIR, "disagg_pools.yaml")
 
-SCALE_ARGS = ["scale", "--devices", "1,2", "--requests", "8",
-              "--qps", "8", "--prompt-tokens", "64",
-              "--output-tokens", "4", "--layers", "1", "--gpu", "a100"]
+SCALE_ARGS = ["scale", "--devices", "1,2",
+              "--set", "workload.requests=8", "--set", "workload.qps=8.0",
+              "--set", "workload.prompt_tokens=64",
+              "--set", "workload.output_tokens=4",
+              "--set", "model.num_layers=1", "--set", "hardware.gpu=a100"]
 
 
 def run_cli(capsys, argv):

@@ -24,7 +24,7 @@ import os
 import pytest
 
 from repro.analysis.sanitizer import KVTransferAuditor, SanitizerError
-from repro.api import Deployment, DeploymentSpec
+from repro.api import Deployment, DeploymentSpec, apply_set
 from repro.errors import ConfigError
 from repro.serve.disagg import (
     PoolSpec,
@@ -458,17 +458,23 @@ workload:
 
 class TestDisaggCLI:
     def test_parse_pools_resolves_engine_aliases(self):
-        from repro.bench.cli import _parse_pools
-        pools = _parse_pools("pf:prefill:h100,dc:decode:w7900:vllm")
-        assert pools == [
-            {"name": "pf", "role": "prefill", "gpu": "h100"},
-            {"name": "dc", "role": "decode", "gpu": "w7900",
-             "engine": "vllm-ds"}]
+        """Pools given on the command line resolve engine aliases in
+        ``PoolSpec`` itself, as config files do."""
+        raw = {}
+        apply_set(raw, "serving.pools=[{name: pf, role: prefill, gpu: "
+                       "h100}, {name: dc, role: decode, gpu: w7900, "
+                       "engine: vllm}]")
+        pools = DeploymentSpec.from_dict(raw).serving.pools
+        assert [pool.to_dict() for pool in pools] == [
+            PoolSpec(name="pf", role="prefill", gpu="h100").to_dict(),
+            PoolSpec(name="dc", role="decode", gpu="w7900",
+                     engine="vllm-ds").to_dict()]
+        assert PoolSpec(name="dc", engine="hf").engine == "transformers"
 
-    def test_parse_pools_rejects_malformed_entries(self):
-        from repro.bench.cli import _parse_pools
-        with pytest.raises(ConfigError, match="--pools"):
-            _parse_pools("just-a-name")
+    def test_parse_pools_rejects_malformed_entries(self, capsys):
+        from repro.bench.cli import main
+        assert main(["run", "--set", "serving.pools=just-a-name"]) == 2
+        assert "serving.pools" in capsys.readouterr().err
 
     def test_list_routers(self, capsys):
         from repro.__main__ import main as repro_main

@@ -164,6 +164,9 @@ def test_decode_pool_takes_the_fast_path(name, monkeypatch):
     """Multi-pool decode runs through the per-pool fast path: only its
     bulk update installs growth, a whole run of decode tokens per call
     (the general path grows one token at a time through ``grow``)."""
+    # A plain run needs REPRO_SANITIZE unset: ``sanitize=False`` defers
+    # to it, and sanitized runs skip the fast path.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     bulk = []
     install = BlockAllocator.install_growth
 
@@ -172,7 +175,7 @@ def test_decode_pool_takes_the_fast_path(name, monkeypatch):
         install(self, request_id, new_tokens, blocks)
 
     monkeypatch.setattr(BlockAllocator, "install_growth", spy)
-    report_json(name)            # plain: sanitized runs skip the fast path
+    report_json(name)
     assert max(bulk, default=0) > 1
 
 
@@ -181,6 +184,7 @@ def test_fast_path_samples_match_the_general_path(name, monkeypatch):
     """Every per-step sample of a plain run (per-pool fast path) equals
     the sanitized run's (general path only): a finer oracle than the
     report, whose percentiles and peaks can hide a wrong sample."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     collectors = []
 
     class Recording(serve_engine.MetricsCollector):

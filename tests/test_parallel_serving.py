@@ -245,7 +245,7 @@ class TestHorizon:
                                horizon_s=1e-9).run(_trace())
         assert report.completed == 0
         assert report.qps_sustained == 0.0
-        assert report.ttft_s["p99"] == 0.0
+        assert report.ttft_s.p99 == 0.0
         assert report.summary_row()
 
     def test_partial_horizon_completes_some(self):

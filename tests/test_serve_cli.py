@@ -1,128 +1,151 @@
-"""The ``repro bench serve`` CLI subcommand and top-level dispatcher."""
+"""Serving runs through the bench CLI and the top-level dispatcher.
+
+``run``, ``scale`` and ``disagg`` describe a deployment as an optional
+config file plus ``--set PATH=VALUE`` overrides; comparing engines
+under identical traffic is a ``sweep.model.engine`` axis.
+"""
 
 import json
+import os
 
 import pytest
 
 from repro.__main__ import main as repro_main
 from repro.bench.cli import build_parser, main
 
+SCALE_YAML = os.path.join(os.path.dirname(__file__), "..", "examples",
+                          "configs", "scale.yaml")
 
-SERVE_ARGS = ["serve", "--engines", "samoyeds,vllm", "--trace", "poisson",
-              "--requests", "10", "--qps", "4", "--prompt-tokens", "128",
-              "--output-tokens", "6", "--layers", "4"]
+
+def sets(*assignments):
+    """``--set`` arguments for each ``PATH=VALUE`` assignment."""
+    return [arg for assignment in assignments
+            for arg in ("--set", assignment)]
+
+
+SMALL_TRACE = sets("workload.requests=10", "workload.qps=4.0",
+                   "workload.prompt_tokens=128", "workload.output_tokens=6",
+                   "model.num_layers=4")
+SERVE_ARGS = ["run", *SMALL_TRACE,
+              *sets("sweep.model.engine=[samoyeds, vllm]")]
+
+
+def sweep_reports(out):
+    """Each sweep point's report (or error entry), in grid order."""
+    return [entry.get("report", entry)
+            for entry in json.loads(out)["sweep"]]
 
 
 class TestParser:
     def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.trace == "poisson"
-        assert args.engines == "samoyeds,vllm-ds"
-        assert args.batcher == "continuous"
+        args = build_parser().parse_args(["run"])
+        assert args.config is None
+        assert args.sets == []
+        assert args.jobs == 1
 
-    def test_serve_rejects_unknown_trace(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--trace", "weibull"])
+    def test_serve_rejects_unknown_trace(self, capsys):
+        # Every sweep point validates before any of them runs.
+        assert main(["run", *sets(
+            "sweep.workload.kind=[poisson, weibull]")]) == 2
+        assert "workload.kind" in capsys.readouterr().err
 
-    def test_serve_rejects_unknown_model(self):
+    def test_serve_rejects_unknown_model(self, capsys):
+        assert main(["run", *sets("model.name=gpt-5")]) == 2
+        assert "model.name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "scale", "disagg"])
+    def test_no_flag_names_a_spec_field(self, command):
+        for flag in ("--engines", "--engine", "--model", "--qps",
+                     "--trace", "--layers", "--gpu", "--pools"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, flag, "x"])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--model", "gpt-5"])
+            build_parser().parse_args(["serve"])
 
 
 class TestServeCommand:
     def test_emits_json_report(self, capsys):
         assert main(SERVE_ARGS) == 0
         captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        assert payload["trace"] == "poisson"
-        assert [e["engine"] for e in payload["engines"]] == [
+        reports = sweep_reports(captured.out)
+        assert [r["engine"] for r in reports] == [
             "samoyeds", "vllm-ds"]        # vllm alias resolves
-        for entry in payload["engines"]:
-            assert entry["completed"] == 10
-            assert entry["ttft_s"]["p50"] > 0
+        for report in reports:
+            assert report["completed"] == 10
+            assert report["ttft_s"]["p50"] > 0
         assert "ttft p50 ms" in captured.err   # summary table on stderr
 
     def test_deterministic_given_seed(self, capsys):
-        assert main(SERVE_ARGS + ["--seed", "42"]) == 0
+        assert main(SERVE_ARGS + sets("workload.seed=42")) == 0
         first = capsys.readouterr().out
-        assert main(SERVE_ARGS + ["--seed", "42"]) == 0
+        assert main(SERVE_ARGS + sets("workload.seed=42")) == 0
         assert capsys.readouterr().out == first
 
     def test_bursty_static(self, capsys):
-        assert main(SERVE_ARGS[:1] + [
-            "--engines", "samoyeds", "--trace", "bursty",
-            "--batcher", "static", "--batch-size", "4",
-            "--requests", "8", "--output-tokens", "4",
-            "--layers", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["batcher"] == "static"
-        assert payload["engines"][0]["completed"] == 8
+        assert main(["run", *sets(
+            "workload.kind=bursty", "serving.batcher=static",
+            "serving.batch_size=4", "workload.requests=8",
+            "workload.output_tokens=4", "model.num_layers=2")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["batcher"] == "static"
+        assert report["completed"] == 8
 
     def test_infeasible_engine_reported_not_fatal(self, capsys):
-        assert main(["serve", "--model", "mixtral-8x22b",
-                     "--engines", "vllm-ds,samoyeds",
-                     "--requests", "6", "--output-tokens", "4",
-                     "--layers", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        by_engine = {e["engine"]: e for e in payload["engines"]}
-        assert "error" in by_engine["vllm-ds"]      # Table-3 OOM
-        assert by_engine["samoyeds"]["completed"] == 6
+        assert main(["run", *sets(
+            "model.name=mixtral-8x22b", "workload.requests=6",
+            "workload.output_tokens=4", "model.num_layers=2",
+            "sweep.model.engine=[vllm-ds, samoyeds]")]) == 0
+        oom, ok = sweep_reports(capsys.readouterr().out)
+        assert "error" in oom                       # Table-3 OOM
+        assert ok["completed"] == 6
 
     def test_chunked_paged_flags(self, capsys):
-        assert main(["serve", "--engines", "samoyeds",
-                     "--batcher", "chunked", "--page-size", "16",
-                     "--token-budget", "128", "--eos-sampling",
-                     "--requests", "8", "--qps", "4",
-                     "--prompt-tokens", "256", "--output-tokens", "4",
-                     "--layers", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["batcher"] == "chunked"
-        assert payload["page_size"] == 16
-        assert payload["eos_sampling"] is True
-        entry = payload["engines"][0]
-        assert entry["completed"] == 8
-        assert "preemptions" in entry
-        assert "peak_reserved_bytes" in entry
+        assert main(["run", *sets(
+            "serving.batcher=chunked", "serving.page_size=16",
+            "serving.token_budget=128", "workload.eos_sampling=true",
+            "workload.requests=8", "workload.qps=4.0",
+            "workload.prompt_tokens=256", "workload.output_tokens=4",
+            "model.num_layers=2")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["batcher"] == "chunked"
+        assert report["completed"] == 8
+        assert "preemptions" in report
+        assert "peak_reserved_bytes" in report
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(SERVE_ARGS + ["--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["requests"] == 10
+        assert len(json.loads(out.read_text())["sweep"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_workload_flag_overrides_trace(self, capsys):
-        assert main(["serve", "--engines", "samoyeds",
-                     "--workload", "flash_crowd",
-                     "--requests", "8", "--qps", "8",
-                     "--prompt-tokens", "128", "--output-tokens", "4",
-                     "--layers", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["trace"] == "flash_crowd"
-        assert payload["engines"][0]["completed"] == 8
+        assert main(["run", *sets(
+            "workload.kind=flash_crowd", "workload.requests=8",
+            "workload.qps=8.0", "workload.prompt_tokens=128",
+            "workload.output_tokens=4", "model.num_layers=2")]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 8
 
     def test_unknown_workload_is_usage_error(self, capsys):
-        assert main(["serve", "--workload", "weibull"]) == 2
-        assert "workload.kind" in capsys.readouterr().err
+        assert main(["run", *sets("workload.kind=weibull")]) == 2
+        err = capsys.readouterr().err
+        assert "workload.kind" in err
+        assert "Traceback" not in err
 
     def test_csv_workload_replays_file(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text("arrival_s,prompt_tokens,output_tokens\n"
                          + "".join(f"{0.1 * i},128,4\n"
                                    for i in range(6)))
-        assert main(["serve", "--engines", "samoyeds",
-                     "--workload", "trace",
-                     "--trace-path", str(trace),
-                     "--layers", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["trace"] == "trace"
-        assert payload["engines"][0]["completed"] == 6
+        assert main(["run", *sets(
+            "workload.kind=trace", f"workload.trace_path={trace}",
+            "model.num_layers=2")]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 6
 
     def test_scheduler_flag_accepted(self, capsys):
-        assert main(SERVE_ARGS + ["--scheduler",
-                                  "priority_slack"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["engines"][0]["completed"] == 10
+        assert main(SERVE_ARGS
+                    + sets("serving.scheduler=priority_slack")) == 0
+        for report in sweep_reports(capsys.readouterr().out):
+            assert report["completed"] == 10
 
 
 class TestDispatcher:
@@ -140,41 +163,38 @@ class TestDispatcher:
 
 class TestParallelFlag:
     def test_parallel_serve_reports_cluster(self, capsys):
-        assert main(SERVE_ARGS + ["--engines", "samoyeds",
-                                  "--parallel", "ep=4"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["parallel"]["ep"] == 4
-        assert payload["link"] == "nvlink"
-        entry = payload["engines"][0]
-        assert entry["cluster"]["experts_per_device"] == [2, 2, 2, 2]
+        assert main(["run", *SMALL_TRACE,
+                     *sets("hardware.parallel=ep=4")]) == 0
+        cluster = json.loads(capsys.readouterr().out)["cluster"]
+        assert cluster["link"] == "nvlink"
+        assert cluster["experts_per_device"] == [2, 2, 2, 2]
 
     def test_single_gpu_payload_has_no_parallel_section(self, capsys):
         assert main(SERVE_ARGS) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "parallel" not in payload
-        for entry in payload["engines"]:
-            assert "cluster" not in entry
+        for report in sweep_reports(capsys.readouterr().out):
+            assert "cluster" not in report
 
     def test_malformed_parallel_is_usage_error(self, capsys):
-        assert main(SERVE_ARGS + ["--parallel", "ep=0"]) == 2
-        assert "bad --parallel" in capsys.readouterr().err
-        assert main(SERVE_ARGS + ["--parallel", "pp=4"]) == 2
+        assert main(SERVE_ARGS + sets("hardware.parallel=ep=0")) == 2
+        assert "hardware.parallel" in capsys.readouterr().err
+        assert main(SERVE_ARGS + sets("hardware.parallel=pp=4")) == 2
 
     def test_dp_is_usage_error(self, capsys):
-        assert main(SERVE_ARGS + ["--parallel", "dp=2"]) == 2
-        assert "dp>1" in capsys.readouterr().err
+        assert main(SERVE_ARGS + sets("hardware.parallel=dp=2")) == 2
+        assert "hardware.parallel: dp > 1" in capsys.readouterr().err
 
     def test_horizon_flag_yields_empty_report(self, capsys):
-        assert main(SERVE_ARGS + ["--engines", "samoyeds",
-                                  "--horizon", "1e-9"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["engines"][0]["completed"] == 0
+        # YAML 1.1 reads an exponent without a dot (1e-9) as a string.
+        assert main(["run", *SMALL_TRACE,
+                     *sets("serving.horizon_s=1.0e-9")]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 0
 
 
 class TestScaleCommand:
-    SCALE_ARGS = ["scale", "--devices", "1,2", "--requests", "8",
-                  "--qps", "40", "--prompt-tokens", "128",
-                  "--output-tokens", "4", "--layers", "2"]
+    SCALE_ARGS = ["scale", SCALE_YAML, "--devices", "1,2",
+                  *sets("workload.requests=8", "workload.qps=40.0",
+                        "workload.prompt_tokens=128",
+                        "workload.output_tokens=4", "model.num_layers=2")]
 
     def test_emits_strong_and_weak_series(self, capsys):
         assert main(self.SCALE_ARGS) == 0
@@ -200,9 +220,10 @@ class TestScaleCommand:
 
     def test_infeasible_point_recorded_not_fatal(self, capsys):
         # mixtral-8x7b has 8 experts: ep=16 cannot place them.
-        assert main(self.SCALE_ARGS[:1]
-                    + ["--devices", "1,16", "--requests", "4",
-                       "--qps", "40", "--layers", "2"]) == 0
+        assert main(self.SCALE_ARGS[:2]
+                    + ["--devices", "1,16"]
+                    + sets("workload.requests=4", "workload.qps=40.0",
+                           "model.num_layers=2")) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "error" in payload["strong"][1]
         assert payload["strong"][0]["qps_sustained"] > 0
@@ -212,20 +233,15 @@ class TestScaleCommand:
         assert main(self.SCALE_ARGS + ["--output", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["mode"] == "ep"
+        assert payload["qps_offered"] == 40.0
         assert capsys.readouterr().out == ""
 
-
-class TestEngineDedupe:
-    def test_alias_collision_runs_engine_once(self, capsys):
-        # vllm resolves to vllm-ds: listing both (or repeating one)
-        # must not run and report the same engine twice.
-        assert main(["serve", "--engines", "vllm,vllm-ds,samoyeds,vllm",
-                     "--requests", "6", "--qps", "4",
-                     "--prompt-tokens", "128", "--output-tokens", "4",
-                     "--layers", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        names = [e["engine"] for e in payload["engines"]]
-        assert names == ["vllm-ds", "samoyeds"]   # order preserved
+    @pytest.mark.parametrize("command", ["scale", "disagg"])
+    def test_sweep_path_is_usage_error(self, command, capsys):
+        assert main([command, *sets(
+            "sweep.model.engine=[samoyeds, vllm-ds]")]) == 2
+        err = capsys.readouterr().err
+        assert "sweep:" in err and "Traceback" not in err
 
 
 class TestRunCommand:
@@ -315,3 +331,36 @@ sweep:
             name="cfg.json")
         assert main(["run", path]) == 0
         assert json.loads(capsys.readouterr().out)["completed"] == 4
+
+    def test_set_overrides_the_config_file(self, tmp_path, capsys):
+        path = self._write(tmp_path, self.CONFIG)
+        assert main(["run", path, *sets("workload.requests=3",
+                                        "model.engine=vllm")]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["completed"] == 3
+        assert payload["engine"] == "vllm-ds"
+
+    def test_set_extends_the_config_sweep(self, tmp_path, capsys):
+        path = self._write(tmp_path, self.CONFIG + """
+sweep:
+  hardware.parallel: [ep=1, ep=2]
+""")
+        assert main(["run", path, *sets(
+            "sweep.model.engine=[samoyeds, vllm-ds]")]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [e["overrides"] for e in payload["sweep"]][-1] == {
+            "hardware.parallel": "ep=2", "model.engine": "vllm-ds"}
+        assert len(payload["sweep"]) == 4
+
+    @pytest.mark.parametrize("assignment, message", [
+        ("workload.qps=-1", "workload.qps: must be > 0"),
+        ("nosuch.x=1", "nosuch: unknown section"),
+        ("workload.qps", "workload.qps: expected PATH=VALUE"),
+        ("workload.qps=[1", "workload.qps: invalid YAML value"),
+        ("model.name.x=1", "model.name"),
+    ])
+    def test_bad_set_is_usage_error(self, assignment, message, capsys):
+        assert main(["run", "--set", assignment]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err

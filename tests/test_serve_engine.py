@@ -59,7 +59,7 @@ class TestContinuousVsStatic:
         cont = ServingEngine(ctx=ctx, seed=SEED).run(burst)
         stat = ServingEngine(ctx=ctx, batcher=StaticBatcher(batch_size=8),
                              seed=SEED).run(burst)
-        assert cont.ttft_s["p99"] < stat.ttft_s["p99"]
+        assert cont.ttft_s.p99 < stat.ttft_s.p99
 
 
 class TestEmergentMemoryLimit:
@@ -112,7 +112,7 @@ class TestQueueDepthSampling:
             num_layers=1, seed=SEED).run(trace)
         # All 9 arrive during the long first prefill step: the first
         # sample must see them queued.
-        assert report.queue_depth["max"] >= 9
+        assert report.queue_depth.max >= 9
 
 
 class TestMemoryReporting:
@@ -123,7 +123,7 @@ class TestMemoryReporting:
                               output_tokens=8, seed=SEED)
         report = ServingEngine(ctx=ctx, seed=SEED).run(trace)
         assert report.peak_reserved_bytes > report.peak_memory_bytes
-        assert report.block_utilisation["max"] > 0
+        assert report.block_utilisation.max > 0
 
     def test_block_ledger_never_exceeds_budget(self, vllm_ctx):
         from repro.moe.memory_model import BlockAllocator
@@ -135,7 +135,7 @@ class TestMemoryReporting:
         budget = BlockAllocator(CFG, "vllm-ds", spec,
                                 page_size=16).budget_bytes
         assert report.peak_reserved_bytes <= budget
-        assert report.block_utilisation["max"] <= 1.0 + 1e-9
+        assert report.block_utilisation.max <= 1.0 + 1e-9
 
 
 class TestPagedServing:
@@ -156,7 +156,7 @@ class TestPagedServing:
                 num_layers=4, seed=SEED, page_size=16).run(trace)
             assert base.completed == paged.completed == len(trace)
             assert paged.max_concurrency > base.max_concurrency, engine
-            assert paged.ttft_s["p99"] < base.ttft_s["p99"], engine
+            assert paged.ttft_s.p99 < base.ttft_s.p99, engine
 
     def test_uniform_trace_paged_matches_table3(self, vllm_ctx):
         """Block-aligned uniform requests saturate at exactly the
@@ -238,7 +238,7 @@ class TestEngineComparison:
                                    seed=SEED).run(trace)
             assert report.engine == engine
             assert report.completed == len(trace)
-            assert report.ttft_s["p50"] > 0
+            assert report.ttft_s.p50 > 0
             assert report.peak_memory_bytes > 0
 
 
@@ -269,9 +269,9 @@ class TestLifecycle:
         trace = poisson_trace(12, 2.0, prompt_tokens=128,
                               output_tokens=8, seed=SEED)
         report = ServingEngine(ctx=ctx, seed=SEED).run(trace)
-        assert report.ttft_s["p50"] <= report.ttft_s["p90"] \
-            <= report.ttft_s["p99"]
-        assert report.tpot_s["p50"] <= report.tpot_s["p99"]
+        assert report.ttft_s.p50 <= report.ttft_s.p90 \
+            <= report.ttft_s.p99
+        assert report.tpot_s.p50 <= report.tpot_s.p99
         assert report.duration_s > 0 and report.steps > 0
 
     def test_single_layer_faster_than_full_model(self, ctx):
@@ -279,7 +279,7 @@ class TestLifecycle:
                               seed=SEED)
         one = ServingEngine(ctx=ctx, num_layers=1, seed=SEED).run(trace)
         full = ServingEngine(ctx=ctx, seed=SEED).run(trace)
-        assert one.ttft_s["p50"] < full.ttft_s["p50"]
+        assert one.ttft_s.p50 < full.ttft_s.p50
 
     def test_engine_object_reusable(self, ctx):
         server = ServingEngine(ctx=ctx, seed=SEED)
