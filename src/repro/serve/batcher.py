@@ -294,7 +294,7 @@ class StaticBatcher(Batcher):
 
 
 #: Policy names accepted by :func:`make_batcher` (and the ``batcher``
-#: field of :class:`repro.api.ServingSpec` / the ``--batcher`` flag).
+#: field of :class:`repro.api.ServingSpec`).
 BATCHER_NAMES = ("continuous", "chunked", "static")
 
 

@@ -5,8 +5,7 @@ phase: arrivals are routed to a prefill-capable pool, and on prefill
 completion the request is routed again to a decode-capable pool (the
 KV-transfer destination).  Policies live in the :data:`ROUTERS`
 registry (``Registry[type[RouterPolicy]]``), listed by
-``repro list routers`` and selected by ``serving.router`` /
-``--router``.
+``repro list routers`` and selected by ``serving.router``.
 
 Determinism contract
 --------------------

@@ -117,7 +117,7 @@ class PrioritySlack(SchedulingPolicy):
 
 
 #: Scheduler names accepted by :func:`make_scheduler` (and the
-#: ``serving.scheduler`` spec field / ``--scheduler`` flag).
+#: ``serving.scheduler`` spec field).
 SCHEDULER_NAMES = ("youngest_first", "priority_slack")
 
 

@@ -1,7 +1,7 @@
 """The workload registry: every arrival-trace shape as a named factory.
 
 :data:`WORKLOADS` maps a workload ``kind`` (the ``workload.kind`` spec
-field, the ``--workload`` flag) to a :class:`WorkloadFactory` carrying
+field) to a :class:`WorkloadFactory` carrying
 capability metadata — whether the shape is stationary, whether it
 comes from a file, and exactly which workload-spec options it consumes
 — plus the build callable.  ``repro list workloads`` renders the
